@@ -377,13 +377,17 @@ impl<'a> Parser<'a> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Consume one UTF-8 scalar.
+                    // Consume the run up to the next quote or backslash.
+                    // Both are ASCII, so the run ends on a char boundary.
                     let start = self.pos;
-                    let rest = std::str::from_utf8(&self.bytes[start..])
+                    let run = self.bytes[start..]
+                        .iter()
+                        .position(|&b| b == b'"' || b == b'\\')
+                        .unwrap_or(self.bytes.len() - start);
+                    let text = std::str::from_utf8(&self.bytes[start..start + run])
                         .map_err(|_| self.err("invalid UTF-8"))?;
-                    let c = rest.chars().next().unwrap();
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    out.push_str(text);
+                    self.pos += run;
                 }
             }
         }
@@ -465,6 +469,13 @@ mod tests {
         for text in [doc.to_json(), doc.to_json_pretty()] {
             assert_eq!(parse(&text).unwrap(), doc, "{text}");
         }
+    }
+
+    #[test]
+    fn multibyte_runs_next_to_escapes() {
+        let doc = parse(r#"{"s": "é€\n😀\"ü\u00e9ñ", "t": "日本"}"#).unwrap();
+        assert_eq!(doc.get("s").and_then(Value::as_str), Some("é€\n😀\"üéñ"));
+        assert_eq!(doc.get("t").and_then(Value::as_str), Some("日本"));
     }
 
     #[test]

@@ -11,14 +11,20 @@
 use std::fs::{self, File, OpenOptions};
 use std::io::{self, Write as _};
 use std::path::Path;
+use std::sync::atomic::{AtomicU64, Ordering};
+
+/// Numbers this process's staging files, so two threads writing the
+/// same destination never share one.
+static TMP_SEQ: AtomicU64 = AtomicU64::new(0);
 
 /// Writes `bytes` to `path` atomically (temp file + fsync + rename +
 /// directory fsync), creating parent directories as needed.
 ///
-/// The temporary file's name embeds the process id, so concurrent
-/// writers in different processes cannot collide on the staging file;
-/// concurrent writers to the *same* destination still last-write-win,
-/// as with a plain write.
+/// The temporary file's name embeds the process id and a per-call
+/// sequence number, so concurrent writers — in different processes or
+/// in threads of one — cannot collide on the staging file; concurrent
+/// writers to the *same* destination still last-write-win, as with a
+/// plain write.
 pub fn atomic_write(path: &Path, bytes: &[u8]) -> io::Result<()> {
     let dir = match path.parent() {
         Some(p) if !p.as_os_str().is_empty() => p.to_path_buf(),
@@ -30,7 +36,11 @@ pub fn atomic_write(path: &Path, bytes: &[u8]) -> io::Result<()> {
         .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidInput, "path has no file name"))?
         .to_string_lossy()
         .into_owned();
-    let tmp = dir.join(format!(".{file_name}.tmp.{}", std::process::id()));
+    let tmp = dir.join(format!(
+        ".{file_name}.tmp.{}.{}",
+        std::process::id(),
+        TMP_SEQ.fetch_add(1, Ordering::Relaxed)
+    ));
 
     let result = (|| {
         let mut f = OpenOptions::new()
@@ -86,6 +96,37 @@ mod tests {
             .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
             .collect();
         assert_eq!(names, vec!["a.txt".to_string()]);
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn concurrent_writers_of_one_path_all_succeed() {
+        let dir = tmp_dir("race");
+        let _ = fs::remove_dir_all(&dir);
+        let path = dir.join("same.json");
+        let payloads: Vec<Vec<u8>> = (0..8u8).map(|t| vec![b'a' + t; 64 * 1024]).collect();
+        let start = std::sync::Barrier::new(payloads.len());
+        std::thread::scope(|s| {
+            for payload in &payloads {
+                let (path, start) = (&path, &start);
+                s.spawn(move || {
+                    start.wait();
+                    for _ in 0..20 {
+                        atomic_write(path, payload).unwrap();
+                    }
+                });
+            }
+        });
+        let last = fs::read(&path).unwrap();
+        assert!(
+            payloads.contains(&last),
+            "final file is one writer's payload"
+        );
+        let names: Vec<String> = fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+            .collect();
+        assert_eq!(names, vec!["same.json".to_string()]);
         fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -1,7 +1,8 @@
-//! Parallel plan executor: scoped worker threads pulling points off a
-//! shared index, with per-point panic isolation, watchdog deadlines,
-//! retry with deterministic backoff, fault injection, and a write-ahead
-//! results journal for crash-safe resume.
+//! Parallel plan executor: scoped worker threads pulling points (on the
+//! lane path, whole lane packs) off a shared index, with per-point
+//! panic isolation, watchdog deadlines, retry with deterministic
+//! backoff, fault injection, and a write-ahead results journal for
+//! crash-safe resume.
 
 use crate::fault::{FaultConfig, FaultPlan, InjectedPanic, PointFaults};
 use crate::journal::{self, Journal, JournalHeader};
@@ -598,13 +599,18 @@ pub fn run_plan_hooked(
     // raise it, keeping deadline-free runs on the token-free path.
     let armed = opts.deadline_ms.is_some();
     if !hooks.has_prefill() && crate::lane_exec::eligible(opts) {
-        // Lane path: points are served from lane packs (see
-        // `lane_exec`), each report bit-identical to the scalar
-        // evaluation below.
-        let width = crate::lane_exec::effective_lanes(opts);
-        let packs = crate::lane_exec::LanePacks::build(plan.points(), width);
+        // Lane path: workers claim whole lane packs (see `lane_exec`),
+        // each report bit-identical to the scalar evaluation below.
         let points = plan.points();
-        return run_plan_ctx_hooked(plan, opts, hooks, move |p, _ctx| packs.eval(points, p));
+        let packs = crate::lane_exec::packs(points, crate::lane_exec::effective_lanes(opts));
+        return execute(
+            plan,
+            opts,
+            hooks,
+            Claims::Packs(&packs),
+            |members| crate::lane_exec::PackRun::new(points, members),
+            |p, _ctx, pack| pack.eval(p),
+        );
     }
     if !opts.telemetry && !opts.profile {
         return run_plan_ctx_hooked(plan, opts, hooks, |p, ctx| {
@@ -698,8 +704,43 @@ pub fn run_plan_ctx_hooked(
     hooks: ExecHooks<'_>,
     eval: impl Fn(&Point, &EvalCtx) -> SimReport + Sync,
 ) -> SweepResult {
+    execute(
+        plan,
+        opts,
+        hooks,
+        Claims::Points,
+        |_| (),
+        |p, ctx, _| eval(p, ctx),
+    )
+}
+
+/// What one fetch from the workers' shared claim index hands out.
+enum Claims<'a> {
+    /// One point.
+    Points,
+    /// One pack: a list of member point indices.
+    Packs(&'a [Vec<usize>]),
+}
+
+/// The executor behind every `run_plan*` entry point. A worker claims
+/// a unit of `claims`, calls `open` once with the unit's still-unserved
+/// members to build its per-claim state, then runs each member through
+/// the per-point body (retries, journal, `on_point`, progress) with
+/// `eval` seeing that state.
+fn execute<S>(
+    plan: &ExperimentPlan,
+    opts: &RunnerOptions,
+    hooks: ExecHooks<'_>,
+    claims: Claims<'_>,
+    open: impl Fn(&[usize]) -> S + Sync,
+    eval: impl Fn(&Point, &EvalCtx, &S) -> SimReport + Sync,
+) -> SweepResult {
     let points = plan.points();
     let n = points.len();
+    let units = match claims {
+        Claims::Points => n,
+        Claims::Packs(packs) => packs.len(),
+    };
     let workers = opts.effective_workers(n);
     let deadline = opts.deadline_ms;
 
@@ -866,6 +907,8 @@ pub fn run_plan_ctx_hooked(
             let slots = &slots;
             let progress = &progress;
             let eval = &eval;
+            let open = &open;
+            let claims = &claims;
             let fault_plan = &fault_plan;
             let journal_writer = &journal_writer;
             let on_point = &on_point;
@@ -874,137 +917,156 @@ pub fn run_plan_ctx_hooked(
             let stop_watchdog = &stop_watchdog;
             scope.spawn(move || {
                 loop {
-                    let i = next.0.fetch_add(1, Ordering::Relaxed);
-                    if i >= n {
+                    let u = next.0.fetch_add(1, Ordering::Relaxed);
+                    if u >= units {
                         break;
                     }
-                    if slots[i].lock().expect("result slot poisoned").is_some() {
-                        continue; // restored from the journal
+                    let members = match claims {
+                        Claims::Points => std::slice::from_ref(&u),
+                        Claims::Packs(packs) => &packs[u][..],
+                    };
+                    // Journal-restored and prefilled points are already served.
+                    let todo: Vec<usize> = members
+                        .iter()
+                        .copied()
+                        .filter(|&i| slots[i].lock().expect("result slot poisoned").is_none())
+                        .collect();
+                    if todo.is_empty() {
+                        continue;
                     }
-                    let point = &points[i];
-                    let faults: PointFaults = fault_plan
-                        .as_ref()
-                        .map(|fp| fp.point(i))
-                        .unwrap_or_default();
-                    let point_start = Instant::now();
-                    let start_ms = point_start.duration_since(start).as_secs_f64() * 1e3;
-                    let mut attempts = 0u32;
-                    let mut attempt_ms: Vec<f64> = Vec::new();
-                    let outcome = loop {
-                        attempts += 1;
-                        if attempts > 1 {
-                            let delay =
-                                backoff_delay_ms(opts.backoff_ms, attempts - 1, point.config.seed);
-                            if delay > 0 {
-                                std::thread::sleep(Duration::from_millis(delay));
-                            }
-                        }
-                        let attempt_start = Instant::now();
-                        let token = CancelToken::new();
-                        if deadline.is_some() {
-                            *watch[worker].0.lock().expect("watch slot poisoned") =
-                                Some((attempt_start, token.clone()));
-                        }
-                        let ctx = EvalCtx {
-                            attempt: attempts,
-                            cancel: token,
-                        };
-                        let injected_delay = if attempts == 1 { faults.delay_ms } else { None };
-                        let inject_panic = attempts <= faults.panics;
-                        let result = catch_unwind(AssertUnwindSafe(|| {
-                            if let Some(ms) = injected_delay {
-                                std::thread::sleep(Duration::from_millis(ms));
-                            }
-                            if inject_panic {
-                                std::panic::panic_any(InjectedPanic {
-                                    point: i,
-                                    attempt: attempts,
-                                });
-                            }
-                            eval(point, &ctx)
-                        }));
-                        if deadline.is_some() {
-                            *watch[worker].0.lock().expect("watch slot poisoned") = None;
-                        }
-                        attempt_ms.push(attempt_start.elapsed().as_secs_f64() * 1e3);
-                        match result {
-                            Ok(report) => break Outcome::Ok(Box::new(report)),
-                            Err(payload) => {
-                                let timed_out = payload.downcast_ref::<Cancelled>().is_some();
-                                if attempts > opts.retries {
-                                    break if timed_out {
-                                        Outcome::TimedOut {
-                                            deadline_ms: deadline.unwrap_or(0),
-                                            attempts,
-                                        }
-                                    } else {
-                                        Outcome::Failed {
-                                            panic: panic_message(payload),
-                                            attempts,
-                                        }
-                                    };
+                    let state = open(&todo);
+                    for &i in &todo {
+                        let point = &points[i];
+                        let faults: PointFaults = fault_plan
+                            .as_ref()
+                            .map(|fp| fp.point(i))
+                            .unwrap_or_default();
+                        let point_start = Instant::now();
+                        let start_ms = point_start.duration_since(start).as_secs_f64() * 1e3;
+                        let mut attempts = 0u32;
+                        let mut attempt_ms: Vec<f64> = Vec::new();
+                        let outcome = loop {
+                            attempts += 1;
+                            if attempts > 1 {
+                                let delay = backoff_delay_ms(
+                                    opts.backoff_ms,
+                                    attempts - 1,
+                                    point.config.seed,
+                                );
+                                if delay > 0 {
+                                    std::thread::sleep(Duration::from_millis(delay));
                                 }
                             }
-                        }
-                    };
-                    let wall_ms = point_start.elapsed().as_secs_f64() * 1e3;
-                    let (wall_ms, start_ms, worker_id, attempt_ms) = if opts.canonical {
-                        (0.0, 0.0, 0, vec![0.0; attempt_ms.len()])
-                    } else {
-                        (wall_ms, start_ms, worker, attempt_ms)
-                    };
-                    let result = PointResult {
-                        index: i,
-                        id: point.id.clone(),
-                        seed: point.config.seed,
-                        config_json: config_json(&point.config),
-                        outcome,
-                        wall_ms,
-                        start_ms,
-                        worker: worker_id,
-                        attempts,
-                        attempt_ms,
-                        injected_faults: faults.injected(),
-                        restored: None,
-                    };
-                    // Write-ahead: the row reaches the fsynced journal
-                    // (surviving injected I/O errors via retry) before it
-                    // is acknowledged to the progress reporter.
-                    if let Some(j) = journal_writer
-                        .lock()
-                        .expect("journal writer poisoned")
-                        .as_mut()
-                    {
-                        let body = journal::record_body(&result);
-                        let mut remaining_injected = faults.io_failures;
-                        let mut tries = 0u32;
-                        loop {
-                            tries += 1;
-                            let res = if remaining_injected > 0 {
-                                remaining_injected -= 1;
-                                Err(io::Error::other(format!(
-                                    "fault-injected journal write error (point {i})"
-                                )))
-                            } else {
-                                j.append(&body)
+                            let attempt_start = Instant::now();
+                            let token = CancelToken::new();
+                            if deadline.is_some() {
+                                *watch[worker].0.lock().expect("watch slot poisoned") =
+                                    Some((attempt_start, token.clone()));
+                            }
+                            let ctx = EvalCtx {
+                                attempt: attempts,
+                                cancel: token,
                             };
-                            match res {
-                                Ok(()) => break,
-                                Err(e) => {
-                                    if tries > 3 {
-                                        eprintln!("journal append failed for {}: {e}", result.id);
-                                        break;
+                            let injected_delay = if attempts == 1 { faults.delay_ms } else { None };
+                            let inject_panic = attempts <= faults.panics;
+                            let result = catch_unwind(AssertUnwindSafe(|| {
+                                if let Some(ms) = injected_delay {
+                                    std::thread::sleep(Duration::from_millis(ms));
+                                }
+                                if inject_panic {
+                                    std::panic::panic_any(InjectedPanic {
+                                        point: i,
+                                        attempt: attempts,
+                                    });
+                                }
+                                eval(point, &ctx, &state)
+                            }));
+                            if deadline.is_some() {
+                                *watch[worker].0.lock().expect("watch slot poisoned") = None;
+                            }
+                            attempt_ms.push(attempt_start.elapsed().as_secs_f64() * 1e3);
+                            match result {
+                                Ok(report) => break Outcome::Ok(Box::new(report)),
+                                Err(payload) => {
+                                    let timed_out = payload.downcast_ref::<Cancelled>().is_some();
+                                    if attempts > opts.retries {
+                                        break if timed_out {
+                                            Outcome::TimedOut {
+                                                deadline_ms: deadline.unwrap_or(0),
+                                                attempts,
+                                            }
+                                        } else {
+                                            Outcome::Failed {
+                                                panic: panic_message(payload),
+                                                attempts,
+                                            }
+                                        };
+                                    }
+                                }
+                            }
+                        };
+                        let wall_ms = point_start.elapsed().as_secs_f64() * 1e3;
+                        let (wall_ms, start_ms, worker_id, attempt_ms) = if opts.canonical {
+                            (0.0, 0.0, 0, vec![0.0; attempt_ms.len()])
+                        } else {
+                            (wall_ms, start_ms, worker, attempt_ms)
+                        };
+                        let result = PointResult {
+                            index: i,
+                            id: point.id.clone(),
+                            seed: point.config.seed,
+                            config_json: config_json(&point.config),
+                            outcome,
+                            wall_ms,
+                            start_ms,
+                            worker: worker_id,
+                            attempts,
+                            attempt_ms,
+                            injected_faults: faults.injected(),
+                            restored: None,
+                        };
+                        // Write-ahead: the row reaches the fsynced journal
+                        // (surviving injected I/O errors via retry) before it
+                        // is acknowledged to the progress reporter.
+                        if let Some(j) = journal_writer
+                            .lock()
+                            .expect("journal writer poisoned")
+                            .as_mut()
+                        {
+                            let body = journal::record_body(&result);
+                            let mut remaining_injected = faults.io_failures;
+                            let mut tries = 0u32;
+                            loop {
+                                tries += 1;
+                                let res = if remaining_injected > 0 {
+                                    remaining_injected -= 1;
+                                    Err(io::Error::other(format!(
+                                        "fault-injected journal write error (point {i})"
+                                    )))
+                                } else {
+                                    j.append(&body)
+                                };
+                                match res {
+                                    Ok(()) => break,
+                                    Err(e) => {
+                                        if tries > 3 {
+                                            eprintln!(
+                                                "journal append failed for {}: {e}",
+                                                result.id
+                                            );
+                                            break;
+                                        }
                                     }
                                 }
                             }
                         }
+                        if let Some(cb) = on_point {
+                            cb(&result, false);
+                        }
+                        let ok = result.is_ok();
+                        *slots[i].lock().expect("result slot poisoned") = Some(result);
+                        progress.point_done(&point.id, ok);
                     }
-                    if let Some(cb) = on_point {
-                        cb(&result, false);
-                    }
-                    let ok = result.is_ok();
-                    *slots[i].lock().expect("result slot poisoned") = Some(result);
-                    progress.point_done(&point.id, ok);
                 }
                 if active_workers.0.fetch_sub(1, Ordering::Relaxed) == 1 {
                     stop_watchdog.0.store(true, Ordering::Relaxed);
@@ -1137,6 +1199,48 @@ mod tests {
         assert_eq!(lanes.failures().count(), 0);
         let a: Vec<String> = scalar.rows.iter().map(|r| r.row_json()).collect();
         let b: Vec<String> = lanes.rows.iter().map(|r| r.row_json()).collect();
+        assert_eq!(a, b);
+    }
+
+    #[test]
+    fn lane_packs_are_claimed_whole_by_one_worker() {
+        // 2 shapes x 8 points, shapes interleaved in plan order: each
+        // pack's rows must come from a single worker, and the rows
+        // must equal the scalar path's.
+        let mut plan = ExperimentPlan::new("lane-claims", 6);
+        for i in 0..16u64 {
+            plan.push_pinned(
+                format!("p{i}"),
+                SystemConfig::builder()
+                    .profile(Profile::apache())
+                    .policy(PolicyKind::HardwarePredictor {
+                        threshold: 100 + 300 * i,
+                    })
+                    .instructions(20_000)
+                    .warmup(5_000)
+                    .seed(1 + i % 2)
+                    .build(),
+            );
+        }
+        let opts = RunnerOptions {
+            quiet: true,
+            workers: 2,
+            lanes: 4,
+            ..RunnerOptions::default()
+        };
+        let lanes = run_plan(&plan, &opts);
+        let scalar = run_plan(&plan, &RunnerOptions { lanes: 1, ..opts });
+        assert_eq!(lanes.failures().count(), 0);
+        let packs = crate::lane_exec::packs(plan.points(), 4);
+        assert_eq!(packs.len(), 4);
+        for pack in &packs {
+            let worker = lanes.rows[pack[0]].worker;
+            for &i in pack {
+                assert_eq!(lanes.rows[i].worker, worker, "pack {pack:?} split");
+            }
+        }
+        let a: Vec<String> = scalar.rows.iter().map(|r| r.stable_json()).collect();
+        let b: Vec<String> = lanes.rows.iter().map(|r| r.stable_json()).collect();
         assert_eq!(a, b);
     }
 

@@ -246,12 +246,16 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
                 *pos += 1;
             }
             Some(_) => {
-                // Copy one whole UTF-8 scalar.
-                let rest = core::str::from_utf8(&bytes[*pos..])
+                // Copy the run up to the next quote or backslash in one
+                // go. Both are ASCII, so the run ends on a char boundary.
+                let run = bytes[*pos..]
+                    .iter()
+                    .position(|&b| b == b'"' || b == b'\\')
+                    .unwrap_or(bytes.len() - *pos);
+                let text = core::str::from_utf8(&bytes[*pos..*pos + run])
                     .map_err(|_| "invalid UTF-8 in string".to_string())?;
-                let c = rest.chars().next().expect("non-empty by construction");
-                out.push(c);
-                *pos += c.len_utf8();
+                out.push_str(text);
+                *pos += run;
             }
         }
     }
@@ -275,6 +279,13 @@ mod tests {
     fn u64_seeds_keep_full_fidelity() {
         let v = parse(&format!("{{\"seed\":{}}}", u64::MAX)).unwrap();
         assert_eq!(v.get("seed").unwrap().as_u64(), Some(u64::MAX));
+    }
+
+    #[test]
+    fn multibyte_runs_next_to_escapes() {
+        let v = parse(r#"{"s":"é€\n😀\"ü\u00e9ñ","t":"日本"}"#).unwrap();
+        assert_eq!(v.get("s").unwrap().as_str(), Some("é€\n😀\"üéñ"));
+        assert_eq!(v.get("t").unwrap().as_str(), Some("日本"));
     }
 
     #[test]

@@ -9,28 +9,32 @@
 //!
 //! This module is the executor-side glue. Points are grouped by
 //! [`tape_compatible`] shape and chunked into *packs* of `--lanes`
-//! points. Workers still claim individual points off the shared index;
-//! the first worker to touch a pack computes the whole pack under that
-//! point's attempt (one [`LaneStepper`] run), and sibling points then
-//! serve their reports from the pack slot. Each worker thread keeps its
-//! own [`TapeRegistry`] — a preallocated per-worker arena of generated
-//! tapes — so workers share *nothing* across threads: a shape's tape is
-//! generated at most once per worker, and scaling adds no cross-worker
-//! coordination beyond the (padded) claim index.
+//! points, listed shape-major. Workers claim whole packs off the
+//! executor's shared index, so every pack has exactly one toucher and
+//! no worker ever waits on another. The claiming worker runs the pack
+//! once (one [`LaneStepper`] run, charged to the first member's
+//! attempt) and each member then takes its report from the result; the
+//! per-point body — retries, journal, callbacks, progress — is the
+//! executor's usual one.
+//!
+//! Each worker thread keeps its own [`TapeRegistry`], so workers share
+//! *nothing* across threads. Because claims advance shape-major, a
+//! worker never returns to a shape once it has moved past it, and the
+//! registry keeps only the latest shape's tape.
 //!
 //! Reports are bit-identical to [`Simulation::run`] per point, so rows,
 //! archives, and journals are unchanged in content. Failure isolation
-//! is preserved: a pack that panics is *poisoned*, the claiming point's
-//! attempt unwinds (feeding the normal retry machinery), and every
-//! point of a poisoned pack falls back to its own scalar evaluation.
+//! is preserved: if the lane run panics, the panic is caught and every
+//! member falls back to its own scalar evaluation, which the normal
+//! retry machinery then guards.
 
 use crate::executor::RunnerOptions;
 use crate::plan::Point;
-use osoffload_system::{tape_compatible, LaneStepper, SimReport, Simulation, TapeRegistry};
-use std::cell::RefCell;
-use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use osoffload_system::{
+    tape_compatible, LaneStepper, SimReport, Simulation, SystemConfig, TapeRegistry,
+};
+use std::cell::{OnceCell, RefCell};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 
 /// Default pack width when `--lanes=0` (auto). Four lanes captures
 /// nearly all of the tape-sharing win on the sweep grids (generation is
@@ -60,131 +64,84 @@ pub(crate) fn eligible(opts: &RunnerOptions) -> bool {
         && opts.deadline_ms.is_none()
 }
 
-/// Sweep generation counter: stamps each sweep's packs so the
-/// thread-local per-worker registries reset between sweeps instead of
-/// accumulating tapes process-wide.
-static SWEEP_GEN: AtomicU64 = AtomicU64::new(1);
-
 thread_local! {
-    /// This worker's tape arena, tagged with the sweep generation it
-    /// was built for.
-    static REGISTRY: RefCell<(u64, TapeRegistry)> = RefCell::new((0, TapeRegistry::new()));
+    /// This worker's tape arena. Executor workers are scoped to one
+    /// sweep, so the arena never outlives it.
+    static REGISTRY: RefCell<TapeRegistry> = RefCell::new(TapeRegistry::new());
 }
 
-/// Runs one pack of configurations through the lane engine on this
-/// worker's registry.
-fn run_pack(generation: u64, configs: Vec<osoffload_system::SystemConfig>) -> Vec<SimReport> {
-    REGISTRY.with(|cell| {
-        let (tag, registry) = &mut *cell.borrow_mut();
-        if *tag != generation {
-            *registry = TapeRegistry::new();
-            *tag = generation;
+/// Groups `points` by workload shape and chunks each group into packs
+/// of at most `width` member indices (plan order within a pack). Packs
+/// are listed shape-major: all of one shape's packs, then the next's.
+pub(crate) fn packs(points: &[Point], width: usize) -> Vec<Vec<usize>> {
+    let width = width.max(1);
+    // (representative index, member indices) per shape, preserving
+    // plan order within each group.
+    let mut groups: Vec<(usize, Vec<usize>)> = Vec::new();
+    for p in points {
+        match groups
+            .iter_mut()
+            .find(|(rep, _)| tape_compatible(&points[*rep].config, &p.config))
+        {
+            Some((_, members)) => members.push(p.index),
+            None => groups.push((p.index, vec![p.index])),
         }
-        LaneStepper::with_registry(configs, registry)
-            .unwrap_or_else(|e| panic!("invalid configuration: {e}"))
-            .run()
-    })
+    }
+    groups
+        .iter()
+        .flat_map(|(_, members)| members.chunks(width).map(<[usize]>::to_vec))
+        .collect()
 }
 
-/// One pack's lifecycle.
-enum PackState {
-    /// Not yet computed.
-    Pending,
-    /// Reports for every member, in pack order.
-    Done(Vec<SimReport>),
-    /// The pack's lane run panicked; members evaluate scalar instead.
-    Poisoned,
+/// One claimed pack, owned by the worker that claimed it.
+pub(crate) struct PackRun<'a> {
+    points: &'a [Point],
+    /// The pack's still-unserved member indices, in pack order.
+    members: Vec<usize>,
+    /// The lane run's reports in member order, or `None` if it
+    /// panicked. Filled by the first [`eval`](Self::eval).
+    reports: OnceCell<Option<Vec<SimReport>>>,
 }
 
-/// The sweep's points grouped into lane packs, plus per-pack result
-/// slots. Built once before the workers start; `eval` is the
-/// executor's point evaluator.
-pub(crate) struct LanePacks {
-    /// Sweep generation (resets the per-worker registries).
-    generation: u64,
-    /// `point index -> (pack, position in pack)`.
-    pack_of: Vec<(usize, usize)>,
-    /// `pack -> member point indices`, in plan order.
-    packs: Vec<Vec<usize>>,
-    state: Vec<Mutex<PackState>>,
-}
-
-impl LanePacks {
-    /// Groups `points` by workload shape and chunks each group into
-    /// packs of at most `width`.
-    pub(crate) fn build(points: &[Point], width: usize) -> Self {
-        let width = width.max(1);
-        // (representative index, member indices) per shape, preserving
-        // plan order within each group.
-        let mut groups: Vec<(usize, Vec<usize>)> = Vec::new();
-        for p in points {
-            match groups
-                .iter_mut()
-                .find(|(rep, _)| tape_compatible(&points[*rep].config, &p.config))
-            {
-                Some((_, members)) => members.push(p.index),
-                None => groups.push((p.index, vec![p.index])),
-            }
-        }
-        let mut pack_of = vec![(0usize, 0usize); points.len()];
-        let mut packs = Vec::new();
-        for (_, members) in groups {
-            for chunk in members.chunks(width) {
-                for (pos, &i) in chunk.iter().enumerate() {
-                    pack_of[i] = (packs.len(), pos);
-                }
-                packs.push(chunk.to_vec());
-            }
-        }
-        let state = packs
-            .iter()
-            .map(|_| Mutex::new(PackState::Pending))
-            .collect();
-        LanePacks {
-            generation: SWEEP_GEN.fetch_add(1, Ordering::Relaxed),
-            pack_of,
-            packs,
-            state,
+impl<'a> PackRun<'a> {
+    /// A pack of `members` (indices into `points`), not yet run.
+    pub(crate) fn new(points: &'a [Point], members: &[usize]) -> Self {
+        PackRun {
+            points,
+            members: members.to_vec(),
+            reports: OnceCell::new(),
         }
     }
 
-    /// Number of packs.
-    #[cfg(test)]
-    fn pack_count(&self) -> usize {
-        self.packs.len()
-    }
-
-    /// Evaluates `point`: serves its report from the pack slot,
-    /// computing the whole pack on first touch. Panics (propagating a
-    /// lane-run panic) poison the pack so siblings and retries fall
-    /// back to scalar evaluation.
-    pub(crate) fn eval(&self, points: &[Point], point: &Point) -> SimReport {
-        let (pack, pos) = self.pack_of[point.index];
-        let mut slot = self.state[pack].lock().expect("pack slot poisoned");
-        match &*slot {
-            PackState::Done(reports) => reports[pos].clone(),
-            PackState::Poisoned => {
-                drop(slot);
-                Simulation::new(point.config.clone()).run()
-            }
-            PackState::Pending => {
-                let configs: Vec<_> = self.packs[pack]
+    /// Evaluates member `point`, running the whole pack on this
+    /// worker's registry on first call. If the lane run panicked, the
+    /// point is simulated on its own instead.
+    pub(crate) fn eval(&self, point: &Point) -> SimReport {
+        let reports = self.reports.get_or_init(|| {
+            let configs: Vec<SystemConfig> = self
+                .members
+                .iter()
+                .map(|&i| self.points[i].config.clone())
+                .collect();
+            catch_unwind(AssertUnwindSafe(|| {
+                REGISTRY.with(|registry| {
+                    LaneStepper::with_registry(configs, &mut registry.borrow_mut())
+                        .unwrap_or_else(|e| panic!("invalid configuration: {e}"))
+                        .run()
+                })
+            }))
+            .ok()
+        });
+        match reports {
+            Some(reports) => {
+                let pos = self
+                    .members
                     .iter()
-                    .map(|&i| points[i].config.clone())
-                    .collect();
-                match catch_unwind(AssertUnwindSafe(|| run_pack(self.generation, configs))) {
-                    Ok(reports) => {
-                        let report = reports[pos].clone();
-                        *slot = PackState::Done(reports);
-                        report
-                    }
-                    Err(payload) => {
-                        *slot = PackState::Poisoned;
-                        drop(slot);
-                        resume_unwind(payload);
-                    }
-                }
+                    .position(|&i| i == point.index)
+                    .expect("point is a member of its pack");
+                reports[pos].clone()
             }
+            None => Simulation::new(point.config.clone()).run(),
         }
     }
 }
@@ -193,7 +150,7 @@ impl LanePacks {
 mod tests {
     use super::*;
     use crate::plan::ExperimentPlan;
-    use osoffload_system::{PolicyKind, SystemConfig};
+    use osoffload_system::PolicyKind;
     use osoffload_workload::Profile;
 
     fn cfg(threshold: u64, seed: u64) -> SystemConfig {
@@ -217,7 +174,9 @@ mod tests {
 
     #[test]
     fn packs_group_by_shape_and_chunk_by_width() {
-        // Two shapes (seeds), 3 + 2 members, width 2 -> 2 + 1 packs.
+        // Two shapes (seeds), 3 + 2 members, width 2 -> 2 + 1 packs,
+        // shape-major; same-shape points share a pack even when not
+        // adjacent in the plan.
         let plan = plan_of(vec![
             cfg(100, 1),
             cfg(200, 2),
@@ -225,35 +184,31 @@ mod tests {
             cfg(400, 2),
             cfg(500, 1),
         ]);
-        let packs = LanePacks::build(plan.points(), 2);
-        assert_eq!(packs.pack_count(), 3);
-        // Same-shape points share a pack even when not adjacent.
-        assert_eq!(packs.pack_of[0].0, packs.pack_of[2].0);
-        assert_eq!(packs.pack_of[1].0, packs.pack_of[3].0);
-        assert_ne!(packs.pack_of[0].0, packs.pack_of[1].0);
-        assert_eq!(packs.pack_of[4].0, 1, "third same-shape point overflows");
+        assert_eq!(
+            packs(plan.points(), 2),
+            vec![vec![0, 2], vec![4], vec![1, 3]]
+        );
     }
 
     #[test]
     fn eval_serves_pack_reports_identical_to_scalar() {
         let plan = plan_of(vec![cfg(100, 7), cfg(5_000, 7), cfg(900, 7)]);
-        let packs = LanePacks::build(plan.points(), 4);
-        assert_eq!(packs.pack_count(), 1);
-        // Claim out of order: pack computes on first touch.
+        let packs = packs(plan.points(), 4);
+        assert_eq!(packs.len(), 1);
+        let run = PackRun::new(plan.points(), &packs[0]);
+        // Evaluate out of order: the pack runs on the first call.
         for &i in &[2usize, 0, 1] {
             let p = &plan.points()[i];
-            let lane = packs.eval(plan.points(), p);
-            assert_eq!(lane, Simulation::new(p.config.clone()).run());
+            assert_eq!(run.eval(p), Simulation::new(p.config.clone()).run());
         }
     }
 
     #[test]
-    fn poisoned_pack_falls_back_to_scalar() {
+    fn panicked_pack_falls_back_to_scalar() {
         let plan = plan_of(vec![cfg(100, 3), cfg(200, 3)]);
-        let packs = LanePacks::build(plan.points(), 2);
-        *packs.state[0].lock().unwrap() = PackState::Poisoned;
+        let run = PackRun::new(plan.points(), &[0, 1]);
+        run.reports.set(None).unwrap();
         let p = &plan.points()[1];
-        let report = packs.eval(plan.points(), p);
-        assert_eq!(report, Simulation::new(p.config.clone()).run());
+        assert_eq!(run.eval(p), Simulation::new(p.config.clone()).run());
     }
 }

@@ -62,15 +62,18 @@ pub fn tape_compatible(a: &SystemConfig, b: &SystemConfig) -> bool {
 /// slower at 64 Ki-instruction quanta on the fig4 grid).
 const DEFAULT_QUANTUM: u64 = u64::MAX;
 
-/// A cache of workload tapes keyed by [`tape_compatible`] shape.
+/// A cache of the most recent workload shape's tape.
 ///
 /// Hold one registry across many [`LaneStepper`] packs and every pack
-/// whose configurations share a shape replays the same tape — the
-/// generation cost of a whole sweep group is paid exactly once, no
-/// matter how the group is chunked into packs.
+/// whose configurations share a shape replays the same tape. Visit the
+/// shapes one group at a time (as [`run_lanes`] and the runner's
+/// shape-major pack claims do) and the generation cost of a whole sweep
+/// group is paid exactly once, no matter how the group is chunked into
+/// packs, while memory stays bounded to a single tape: building a new
+/// shape's tape drops the previous one.
 #[derive(Default)]
 pub struct TapeRegistry {
-    shapes: Vec<(SystemConfig, SharedTape)>,
+    latest: Option<(SystemConfig, SharedTape)>,
 }
 
 impl TapeRegistry {
@@ -79,19 +82,16 @@ impl TapeRegistry {
         Self::default()
     }
 
-    /// The tape for `cfg`'s workload shape, building it on first use.
+    /// The tape for `cfg`'s workload shape, building it (and dropping
+    /// the cached one) when the shape differs from the cached tape's.
     pub fn tape_for(&mut self, cfg: &SystemConfig) -> SharedTape {
-        match self
-            .shapes
-            .iter()
-            .find(|(rep, _)| tape_compatible(rep, cfg))
-        {
-            Some((_, tape)) => tape.clone(),
-            None => {
+        match &self.latest {
+            Some((rep, tape)) if tape_compatible(rep, cfg) => tape.clone(),
+            _ => {
                 let tape =
                     WorkloadTape::new(&cfg.profile, &cfg.phases, cfg.thread_count(), cfg.seed)
                         .into_shared();
-                self.shapes.push((cfg.clone(), tape.clone()));
+                self.latest = Some((cfg.clone(), tape.clone()));
                 tape
             }
         }
@@ -151,9 +151,10 @@ impl LaneStepper {
 
     /// Like [`new`](Self::new), but resolves tapes through a
     /// caller-held [`TapeRegistry`], so generation work is shared not
-    /// just between the lanes of this pack but across every pack built
-    /// from the same registry. [`run_lanes`] uses this to generate each
-    /// workload shape exactly once per sweep, however narrow the packs.
+    /// just between the lanes of this pack but across consecutive
+    /// same-shape packs built from the same registry. [`run_lanes`]
+    /// uses this to generate each workload shape exactly once per
+    /// sweep, however narrow the packs.
     pub fn with_registry(
         configs: Vec<SystemConfig>,
         registry: &mut TapeRegistry,
@@ -334,4 +335,34 @@ pub fn run_lanes(configs: &[SystemConfig], width: usize) -> Result<Vec<SimReport
         .into_iter()
         .map(|r| r.expect("every index filled"))
         .collect())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::config::PolicyKind;
+    use osoffload_workload::Profile;
+    use std::rc::Rc;
+
+    fn cfg(threshold: u64, seed: u64) -> SystemConfig {
+        SystemConfig::builder()
+            .profile(Profile::apache())
+            .policy(PolicyKind::HardwarePredictor { threshold })
+            .instructions(10_000)
+            .seed(seed)
+            .build()
+    }
+
+    #[test]
+    fn registry_keeps_only_the_latest_shape() {
+        let mut registry = TapeRegistry::new();
+        let a = registry.tape_for(&cfg(100, 1));
+        let b = registry.tape_for(&cfg(100, 2));
+        let (rep, held) = registry.latest.as_ref().expect("a tape is cached");
+        assert!(tape_compatible(rep, &cfg(100, 2)));
+        assert!(Rc::ptr_eq(held, &b));
+        assert_eq!(Rc::strong_count(&a), 1, "shape A's tape was dropped");
+        // Another point of shape B replays the cached tape.
+        assert!(Rc::ptr_eq(&registry.tape_for(&cfg(900, 2)), &b));
+    }
 }
