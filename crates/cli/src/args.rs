@@ -195,6 +195,11 @@ pub enum ServeArgs {
         /// Daemon port.
         port: u16,
     },
+    /// `serve metrics` — live metrics snapshot.
+    Metrics {
+        /// Daemon port.
+        port: u16,
+    },
     /// `serve stop` — ask the daemon to shut down.
     Stop {
         /// Daemon port.
@@ -505,7 +510,7 @@ fn parse_serve_args(args: &[String]) -> Result<ServeArgs, ParseArgsError> {
                 log,
             })
         }
-        Some(op @ ("ping" | "stats" | "stop")) => {
+        Some(op @ ("ping" | "stats" | "metrics" | "stop")) => {
             let mut port = 7411u16;
             for arg in &args[1..] {
                 if arg.starts_with("--port") {
@@ -517,13 +522,14 @@ fn parse_serve_args(args: &[String]) -> Result<ServeArgs, ParseArgsError> {
             Ok(match op {
                 "ping" => ServeArgs::Ping { port },
                 "stats" => ServeArgs::Stats { port },
+                "metrics" => ServeArgs::Metrics { port },
                 _ => ServeArgs::Stop { port },
             })
         }
         Some(other) => Err(err(format!(
-            "unknown serve subcommand '{other}' (expected start|submit|ping|stats|stop)"
+            "unknown serve subcommand '{other}' (expected start|submit|proxy|ping|stats|metrics|stop)"
         ))),
-        None => Err(err("usage: serve <start|submit|ping|stats|stop> …")),
+        None => Err(err("usage: serve <start|submit|proxy|ping|stats|metrics|stop> …")),
     }
 }
 
@@ -682,8 +688,10 @@ SERVE SUBCOMMANDS (see SERVING.md):
                                             proxy for chaos testing: torn
                                             writes, stalls, disconnects at
                                             seeded byte offsets
-    serve ping|stats|stop [--port=N]        liveness / totals / shutdown
-                                            (stop drains gracefully)
+    serve ping|stats|metrics|stop [--port=N]
+                                            liveness / totals / live metrics
+                                            snapshot / shutdown (stop drains
+                                            gracefully)
 
 EXAMPLES:
     osoffload run -p apache --policy hi:500 -l 1000 --energy
@@ -897,6 +905,10 @@ mod tests {
         assert_eq!(
             parse(&argv("serve ping")).unwrap(),
             Command::Serve(ServeArgs::Ping { port: 7411 })
+        );
+        assert_eq!(
+            parse(&argv("serve metrics --port=7500")).unwrap(),
+            Command::Serve(ServeArgs::Metrics { port: 7500 })
         );
         assert!(parse(&argv("serve submit")).is_err(), "submit needs --fig4");
         assert!(parse(&argv("serve submit --fig4=huge")).is_err());

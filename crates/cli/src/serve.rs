@@ -172,6 +172,7 @@ pub fn serve(args: &ServeArgs) -> i32 {
         }
         ServeArgs::Ping { port } => one_shot(client::ping(*port)),
         ServeArgs::Stats { port } => one_shot(client::stats(*port)),
+        ServeArgs::Metrics { port } => one_shot(client::metrics(*port)),
         ServeArgs::Stop { port } => one_shot(client::stop(*port)),
     }
 }

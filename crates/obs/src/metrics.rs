@@ -7,6 +7,10 @@
 //! perturb simulated behaviour. The resulting table is schema-stable:
 //! one row per epoch, one column per registered metric, exported as CSV
 //! or stable-key JSON.
+//!
+//! A registry is unbounded by default, which suits a simulation run of
+//! known length. A long-lived process uses [`MetricsRegistry::bounded`]
+//! instead, which keeps only the newest rows.
 
 use std::fmt::Write as _;
 
@@ -58,12 +62,28 @@ pub struct MetricsRegistry {
     names: Vec<(String, MetricKind)>,
     current: Vec<f64>,
     samples: Vec<SampleRow>,
+    /// Newest rows kept (`0` = every row).
+    keep: usize,
 }
 
 impl MetricsRegistry {
-    /// Creates an empty registry.
+    /// Creates an empty, unbounded registry.
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// Creates an empty registry that keeps only the newest `keep` rows
+    /// (`0` = unbounded, like [`MetricsRegistry::new`]).
+    ///
+    /// Older rows are trimmed in batches of `keep`, so a commit costs
+    /// amortised O(1) and at most `2 × keep` rows are ever held.
+    /// [`samples`](MetricsRegistry::samples) and the renderers see only
+    /// the newest `keep`.
+    pub fn bounded(keep: usize) -> Self {
+        MetricsRegistry {
+            keep,
+            ..Self::default()
+        }
     }
 
     fn register(&mut self, name: &str, kind: MetricKind) -> MetricId {
@@ -98,12 +118,37 @@ impl MetricsRegistry {
 
     /// Commits the staged values as one epoch-boundary row.
     pub fn commit_sample(&mut self, epoch: u64, instructions: u64, cycles: u64) {
-        self.samples.push(SampleRow {
+        let values = self.current.clone();
+        self.push_sample(SampleRow {
             epoch,
             instructions,
             cycles,
-            values: self.current.clone(),
+            values,
         });
+    }
+
+    /// Appends a row committed elsewhere, e.g. one taken from another
+    /// registry of the same schema with
+    /// [`take_samples`](MetricsRegistry::take_samples).
+    pub fn push_sample(&mut self, row: SampleRow) {
+        assert_eq!(
+            row.values.len(),
+            self.names.len(),
+            "sample row does not match the registry's schema"
+        );
+        if self.keep > 0 && self.samples.len() == 2 * self.keep {
+            self.samples.drain(..self.keep);
+        }
+        self.samples.push(row);
+    }
+
+    /// Removes and returns the kept rows, oldest first. Staged values
+    /// and the schema stay.
+    pub fn take_samples(&mut self) -> Vec<SampleRow> {
+        let skip = self.samples.len() - self.samples().len();
+        let mut rows = std::mem::take(&mut self.samples);
+        rows.drain(..skip);
+        rows
     }
 
     /// Metric names with kinds, in column order.
@@ -116,9 +161,14 @@ impl MetricsRegistry {
         self.names[id.0].1
     }
 
-    /// Committed rows, oldest first.
+    /// Committed rows, oldest first (for a bounded registry, the newest
+    /// rows it keeps).
     pub fn samples(&self) -> &[SampleRow] {
-        &self.samples
+        let start = match self.keep {
+            0 => 0,
+            keep => self.samples.len().saturating_sub(keep),
+        };
+        &self.samples[start..]
     }
 
     /// Discards committed rows and staged values, keeping the schema.
@@ -142,7 +192,7 @@ impl MetricsRegistry {
             out.push_str(&crate::csv::field(name));
         }
         out.push('\n');
-        for row in &self.samples {
+        for row in self.samples() {
             let _ = write!(out, "{},{},{}", row.epoch, row.instructions, row.cycles);
             for (i, v) in row.values.iter().enumerate() {
                 out.push(',');
@@ -172,7 +222,7 @@ impl MetricsRegistry {
             );
         }
         out.push_str("],\"samples\":[");
-        for (i, row) in self.samples.iter().enumerate() {
+        for (i, row) in self.samples().iter().enumerate() {
             if i > 0 {
                 out.push(',');
             }
@@ -261,6 +311,53 @@ mod tests {
         assert_eq!(reg.metrics().len(), 1);
         reg.commit_sample(0, 2, 2);
         assert_eq!(reg.samples()[0].values, vec![0.0]);
+    }
+
+    #[test]
+    fn bounded_registry_keeps_only_the_newest_rows() {
+        const KEEP: usize = 100;
+        let mut reg = MetricsRegistry::bounded(KEEP);
+        let c = reg.register_counter("n");
+        for epoch in 0..10_000u64 {
+            reg.set(c, epoch as f64);
+            reg.commit_sample(epoch, epoch, 0);
+            assert!(reg.samples().len() <= KEEP);
+            assert!(
+                reg.samples.len() <= 2 * KEEP,
+                "trimmed storage stays bounded"
+            );
+        }
+        let kept: Vec<u64> = reg.samples().iter().map(|r| r.epoch).collect();
+        assert_eq!(kept, (9_900..10_000).collect::<Vec<u64>>());
+
+        let csv = reg.to_csv();
+        let lines: Vec<&str> = csv.lines().collect();
+        assert_eq!(lines.len(), 1 + KEEP);
+        assert_eq!(lines[1], "9900,9900,0,9900");
+        assert_eq!(lines[KEEP], "9999,9999,0,9999");
+        let json = reg.to_json();
+        assert_eq!(json.matches("\"epoch\":").count(), KEEP);
+        assert!(json.contains("{\"epoch\":9900,"), "{json}");
+        assert!(!json.contains("{\"epoch\":9899,"), "{json}");
+    }
+
+    #[test]
+    fn take_samples_moves_only_kept_rows() {
+        let mut pending = MetricsRegistry::bounded(3);
+        let c = pending.register_counter("n");
+        let mut history = pending.clone();
+        for epoch in 0..8u64 {
+            pending.set(c, epoch as f64);
+            pending.commit_sample(epoch, 0, 0);
+        }
+        for row in pending.take_samples() {
+            history.push_sample(row);
+        }
+        assert!(pending.samples().is_empty());
+        let kept: Vec<u64> = history.samples().iter().map(|r| r.epoch).collect();
+        assert_eq!(kept, vec![5, 6, 7]);
+        pending.commit_sample(8, 0, 0);
+        assert_eq!(pending.samples()[0].values, vec![7.0], "staged values stay");
     }
 
     #[test]

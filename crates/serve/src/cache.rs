@@ -47,7 +47,7 @@
 
 use osoffload_obs::atomic_write;
 use osoffload_runner::journal::{
-    envelope, restore_from_stable, scan_envelope_lines, Journal, ScanMode,
+    envelope, rekey_stable, restore_from_stable, scan_envelope_lines, Journal, ScanMode,
 };
 use osoffload_runner::jsonv;
 use osoffload_runner::PointResult;
@@ -60,7 +60,8 @@ pub const HEADER_BODY: &str = "{\"journal\":\"osoffload-serve-cache\",\"version\
 
 /// One cached point: its digest key, the full wire configuration the
 /// digest was computed from, and the restored result row (whose
-/// `stable_json` is the verbatim archive text).
+/// `restored` field always holds the verbatim archive text, so
+/// `stable_json` is a clone, never a render).
 #[derive(Debug, Clone)]
 pub struct CacheEntry {
     /// 16-hex-digit FNV-1a digest of the point's archive `config_json`.
@@ -309,9 +310,11 @@ impl ResultCache {
     }
 
     /// Serves a cached row re-keyed to a new plan position: the stored
-    /// verbatim stable text gets `index`/`id`/`seed` spliced in, then is
-    /// restored like a journal resume — so the served row's archive text
-    /// is byte-identical to a fresh computation at that position.
+    /// verbatim stable text gets `index`/`id`/`seed` spliced in and
+    /// everything else is cloned, so the served row's archive text is
+    /// byte-identical to a fresh computation at that position. Nothing
+    /// is re-parsed: the row equals what a journal-style
+    /// [`restore_from_stable`] of the re-keyed text would give.
     pub fn serve(
         &self,
         digest: &str,
@@ -320,10 +323,22 @@ impl ResultCache {
         id: &str,
         seed: u64,
     ) -> Option<PointResult> {
-        let entry = self.lookup(digest, config)?;
-        let rekeyed =
-            osoffload_runner::journal::rekey_stable(&entry.row.stable_json(), index, id, seed)?;
-        restore_from_stable(&rekeyed)
+        let row = &self.lookup(digest, config)?.row;
+        let stable = row.restored.as_deref()?;
+        Some(PointResult {
+            index,
+            id: id.to_string(),
+            seed,
+            config_json: row.config_json.clone(),
+            outcome: row.outcome.clone(),
+            wall_ms: row.wall_ms,
+            start_ms: row.start_ms,
+            worker: row.worker,
+            attempts: row.attempts,
+            attempt_ms: row.attempt_ms.clone(),
+            injected_faults: row.injected_faults,
+            restored: Some(rekey_stable(stable, index, id, seed)?),
+        })
     }
 
     /// Inserts a completed row under its configuration digest, appending
@@ -345,11 +360,15 @@ impl ResultCache {
         if !row.is_ok() {
             return Ok(false);
         }
+        // Store the row exactly as a WAL replay would load it: its stable
+        // text kept verbatim, the rest restored from that text. Serving
+        // it then never renders or parses anything.
         let entry = CacheEntry {
             digest: row.config_digest(),
             stamp,
             config: config.to_string(),
-            row: row.clone(),
+            row: restore_from_stable(&row.stable_json())
+                .ok_or("completed row's stable text does not restore")?,
         };
         self.writer
             .as_mut()

@@ -48,6 +48,11 @@ pub fn stats(port: u16) -> Result<String, String> {
     one_shot(port, "{\"op\":\"stats\"}\n")
 }
 
+/// Sends `{"op":"metrics"}`; returns the daemon's live metrics line.
+pub fn metrics(port: u16) -> Result<String, String> {
+    one_shot(port, "{\"op\":\"metrics\"}\n")
+}
+
 /// Sends `{"op":"shutdown"}`; returns the daemon's acknowledgement.
 pub fn stop(port: u16) -> Result<String, String> {
     one_shot(port, "{\"op\":\"shutdown\"}\n")

@@ -8,6 +8,8 @@
 //!
 //! - `{"op":"ping"}` → one `{"ok":true,...}` line.
 //! - `{"op":"stats"}` → one line of cache/counter totals.
+//! - `{"op":"metrics"}` → one line of live metrics: the totals, the
+//!   gauges, the sample history's length and the file exports so far.
 //! - `{"op":"shutdown"}` → graceful drain: in-flight submissions finish
 //!   and fsync, queued ones get a `draining` refusal, then the
 //!   acknowledgement line is written and the listener closes.
@@ -68,7 +70,7 @@ use std::collections::VecDeque;
 use std::io::{BufRead, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Condvar, Mutex};
 use std::time::{Duration, Instant};
 
@@ -157,7 +159,7 @@ impl ServeOptions {
 
     /// The connection pool is always large enough that every runnable
     /// and queued submission can hold a connection while at least one
-    /// thread stays free for quick ops (`ping`/`stats`/`shutdown`) — a
+    /// thread stays free for quick ops (`ping`/`stats`/`metrics`/`shutdown`) — a
     /// drain request must never be starved by the very load it is meant
     /// to resolve.
     fn pool(&self) -> usize {
@@ -170,8 +172,17 @@ impl ServeOptions {
     }
 }
 
-/// Totals across the daemon's lifetime, exported as epoch-sampled
-/// metrics after every submission or shed.
+/// How often the exporter thread rewrites `serve-metrics.{csv,json}`,
+/// and only when new samples exist. A drain flushes at once instead of
+/// waiting for the next tick.
+pub const METRICS_EXPORT_CADENCE: Duration = Duration::from_secs(1);
+
+/// Newest metric samples the daemon keeps, and so the most rows the
+/// exported files hold.
+pub const METRICS_HISTORY_ROWS: usize = 1024;
+
+/// Totals across the daemon's lifetime, sampled into the metrics after
+/// every submission, shed, or refusal.
 #[derive(Debug, Default, Clone, Copy)]
 struct Totals {
     hits: u64,
@@ -183,8 +194,9 @@ struct Totals {
     deadline_refused: u64,
 }
 
-struct Metrics {
-    registry: MetricsRegistry,
+/// Column handles of the daemon's metric schema.
+#[derive(Clone, Copy)]
+struct MetricIds {
     hits: MetricId,
     misses: MetricId,
     evictions: MetricId,
@@ -193,31 +205,85 @@ struct Metrics {
     depth: MetricId,
     shed: MetricId,
     drain_refused: MetricId,
+    deadline_refused: MetricId,
 }
 
-impl Metrics {
-    fn new() -> Metrics {
-        let mut registry = MetricsRegistry::new();
-        let hits = registry.register_counter("serve.cache.hits");
-        let misses = registry.register_counter("serve.cache.misses");
-        let evictions = registry.register_counter("serve.cache.evictions");
-        let entries = registry.register_gauge("serve.cache.entries");
-        let submissions = registry.register_counter("serve.submissions");
-        let depth = registry.register_gauge("serve.queue.depth");
-        let shed = registry.register_counter("serve.queue.shed");
-        let drain_refused = registry.register_counter("serve.drain.refused");
-        Metrics {
-            registry,
-            hits,
-            misses,
-            evictions,
+/// A bounded registry with the daemon's metric schema.
+fn metrics_registry() -> (MetricsRegistry, MetricIds) {
+    let mut registry = MetricsRegistry::bounded(METRICS_HISTORY_ROWS);
+    let ids = MetricIds {
+        hits: registry.register_counter("serve.cache.hits"),
+        misses: registry.register_counter("serve.cache.misses"),
+        evictions: registry.register_counter("serve.cache.evictions"),
+        entries: registry.register_gauge("serve.cache.entries"),
+        submissions: registry.register_counter("serve.submissions"),
+        depth: registry.register_gauge("serve.queue.depth"),
+        shed: registry.register_counter("serve.queue.shed"),
+        drain_refused: registry.register_counter("serve.drain.refused"),
+        deadline_refused: registry.register_counter("serve.deadline.refused"),
+    };
+    (registry, ids)
+}
+
+/// The request path's side of the metrics: lifetime totals, the cache
+/// size as of the last submission, and the samples committed since the
+/// exporter last took them. Nothing done under this lock renders or
+/// touches a file.
+struct Live {
+    totals: Totals,
+    entries: usize,
+    samples: u64,
+    pending: MetricsRegistry,
+    ids: MetricIds,
+}
+
+impl Live {
+    fn new(entries: usize) -> Live {
+        let (pending, ids) = metrics_registry();
+        Live {
+            totals: Totals::default(),
             entries,
-            submissions,
-            depth,
-            shed,
-            drain_refused,
+            samples: 0,
+            pending,
+            ids,
         }
     }
+
+    /// Commits one sample of the current totals and gauges.
+    fn commit(&mut self, depth: usize) {
+        let (t, ids, reg) = (self.totals, self.ids, &mut self.pending);
+        reg.set(ids.hits, t.hits as f64);
+        reg.set(ids.misses, t.misses as f64);
+        reg.set(ids.evictions, t.evictions as f64);
+        reg.set(ids.entries, self.entries as f64);
+        reg.set(ids.submissions, t.submissions as f64);
+        reg.set(ids.depth, depth as f64);
+        reg.set(ids.shed, t.shed as f64);
+        reg.set(ids.drain_refused, t.drain_refused as f64);
+        reg.set(ids.deadline_refused, t.deadline_refused as f64);
+        reg.commit_sample(self.samples, 0, 0);
+        self.samples += 1;
+    }
+}
+
+/// Coordination between the exporter thread and the rest of the daemon.
+#[derive(Default)]
+struct Exporter {
+    ctl: Mutex<ExportCtl>,
+    cv: Condvar,
+    /// File exports written so far.
+    exports: AtomicU64,
+    /// Rows in the exporter's history as of its last export.
+    history: AtomicUsize,
+}
+
+#[derive(Default)]
+struct ExportCtl {
+    /// Flushes asked for, and flushes done; a flush is served when
+    /// `flushed` catches up with the number asked for before it.
+    asked: u64,
+    flushed: u64,
+    stop: bool,
 }
 
 /// The admission gate: how many sweeps are running, how many are
@@ -236,9 +302,8 @@ struct Shared {
     cache: Mutex<ResultCache>,
     gate: Mutex<Gate>,
     gate_cv: Condvar,
-    totals: Mutex<Totals>,
-    metrics: Mutex<Metrics>,
-    samples: AtomicU64,
+    live: Mutex<Live>,
+    exporter: Exporter,
     stop: AtomicBool,
 }
 
@@ -357,6 +422,7 @@ impl Daemon {
         for warning in cache.warnings() {
             eprintln!("serve: {warning}");
         }
+        let entries = cache.len();
         let listener = TcpListener::bind(("127.0.0.1", opts.port))
             .map_err(|e| format!("cannot bind 127.0.0.1:{}: {e}", opts.port))?;
         let addr = listener
@@ -370,9 +436,8 @@ impl Daemon {
                 cache: Mutex::new(cache),
                 gate: Mutex::new(Gate::default()),
                 gate_cv: Condvar::new(),
-                totals: Mutex::new(Totals::default()),
-                metrics: Mutex::new(Metrics::new()),
-                samples: AtomicU64::new(0),
+                live: Mutex::new(Live::new(entries)),
+                exporter: Exporter::default(),
                 stop: AtomicBool::new(false),
             },
         })
@@ -394,13 +459,16 @@ impl Daemon {
         let pool = shared.opts.pool();
         let queue = ConnQueue::new(pool * 2);
         std::thread::scope(|scope| {
-            for _ in 0..pool {
-                scope.spawn(|| {
-                    while let Some(stream) = queue.pop() {
-                        handle_connection(shared, stream);
-                    }
-                });
-            }
+            let exporter = scope.spawn(|| export_loop(shared));
+            let workers: Vec<_> = (0..pool)
+                .map(|_| {
+                    scope.spawn(|| {
+                        while let Some(stream) = queue.pop() {
+                            handle_connection(shared, stream);
+                        }
+                    })
+                })
+                .collect();
             let result = loop {
                 let stream = match self.listener.accept() {
                     Ok((stream, _)) => stream,
@@ -421,6 +489,20 @@ impl Daemon {
             };
             for stream in queue.close() {
                 refuse_late(stream, "draining");
+            }
+            // The exporter outlives every worker, so a drain's flush is
+            // always served and its last export sees every sample.
+            let panicked = workers.into_iter().find_map(|w| w.join().err());
+            {
+                let mut ctl = shared.exporter.ctl.lock().expect("exporter lock");
+                ctl.stop = true;
+                shared.exporter.cv.notify_all();
+            }
+            if let Err(payload) = exporter.join() {
+                std::panic::resume_unwind(payload);
+            }
+            if let Some(payload) = panicked {
+                std::panic::resume_unwind(payload);
             }
             result
         })
@@ -443,16 +525,15 @@ fn overloaded_line(depth: usize) -> String {
     )
 }
 
+/// Submissions running or queued at the admission gate.
+fn queue_depth(shared: &Shared) -> usize {
+    let gate = shared.gate.lock().expect("gate lock");
+    gate.running + gate.queued
+}
+
 fn shed_connection(shared: &Shared, stream: TcpStream) {
-    let depth = {
-        let gate = shared.gate.lock().expect("gate lock");
-        gate.running + gate.queued
-    };
-    {
-        let mut totals = shared.totals.lock().expect("totals lock");
-        totals.shed += 1;
-    }
-    export_metrics(shared);
+    let depth = queue_depth(shared);
+    record_sample(shared, |live| live.totals.shed += 1);
     let _ = stream.set_write_timeout(Some(Duration::from_millis(200)));
     let _ = (&stream).write_all(overloaded_line(depth).as_bytes());
 }
@@ -551,7 +632,7 @@ fn handle_connection(shared: &Shared, stream: TcpStream) {
                 let gate = shared.gate.lock().expect("gate lock");
                 (gate.running, gate.queued, gate.draining)
             };
-            let t = *shared.totals.lock().expect("totals lock");
+            let t = shared.live.lock().expect("metrics lock").totals;
             let entries = shared.cache.lock().expect("cache lock").len();
             let _ = out.write_all(
                 format!(
@@ -569,6 +650,9 @@ fn handle_connection(shared: &Shared, stream: TcpStream) {
                 )
                 .as_bytes(),
             );
+        }
+        Some("metrics") => {
+            let _ = out.write_all(metrics_line(shared).as_bytes());
         }
         Some("shutdown") => handle_shutdown(shared, out),
         Some("submit") => submit_entry(shared, &request, &stream),
@@ -590,7 +674,8 @@ fn handle_shutdown(shared: &Shared, mut out: &TcpStream) {
             gate = shared.gate_cv.wait(gate).expect("gate wait");
         }
     }
-    export_metrics(shared);
+    record_sample(shared, |_| {});
+    flush_metrics(shared);
     let _ = out.write_all(b"{\"ok\":true,\"stopping\":true,\"drained\":true}\n");
     shared.stop.store(true, Ordering::SeqCst);
     // The accept loop is blocked in accept(); a throwaway connection
@@ -669,15 +754,11 @@ fn submit_entry(shared: &Shared, request: &Value, out: &TcpStream) {
     match admit(shared) {
         Admit::Go => {}
         Admit::Refuse { line, kind } => {
-            {
-                let mut totals = shared.totals.lock().expect("totals lock");
-                match kind {
-                    RefuseKind::Overloaded => totals.shed += 1,
-                    RefuseKind::Draining => totals.drain_refused += 1,
-                    RefuseKind::Deadline => totals.deadline_refused += 1,
-                }
-            }
-            export_metrics(shared);
+            record_sample(shared, |live| match kind {
+                RefuseKind::Overloaded => live.totals.shed += 1,
+                RefuseKind::Draining => live.totals.drain_refused += 1,
+                RefuseKind::Deadline => live.totals.deadline_refused += 1,
+            });
             let mut w = out;
             let _ = w.write_all(line.as_bytes());
             return;
@@ -850,16 +931,17 @@ fn handle_submit(
     let hits = hits.into_inner();
     let misses = misses.into_inner();
     let failed = sweep.rows.iter().filter(|r| !r.is_ok()).count();
-    let evicted = shared.cache.lock().expect("cache lock").enforce_limits()? as u64;
-
-    {
-        let mut totals = shared.totals.lock().expect("totals lock");
-        totals.hits += hits;
-        totals.misses += misses;
-        totals.evictions += evicted;
-        totals.submissions += 1;
-    }
-    export_metrics(shared);
+    let (evicted, entries) = {
+        let mut cache = shared.cache.lock().expect("cache lock");
+        (cache.enforce_limits()? as u64, cache.len())
+    };
+    record_sample(shared, |live| {
+        live.totals.hits += hits;
+        live.totals.misses += misses;
+        live.totals.evictions += evicted;
+        live.totals.submissions += 1;
+        live.entries = entries;
+    });
     if !opts.quiet {
         eprintln!(
             "serve: {experiment}: {} points, {hits} hits, {misses} misses, {failed} failed",
@@ -880,41 +962,122 @@ fn handle_submit(
     Ok(())
 }
 
-/// Commits one epoch sample and writes `serve-metrics.csv` /
-/// `serve-metrics.json` atomically.
-fn export_metrics(shared: &Shared) {
-    let t = *shared.totals.lock().expect("totals lock");
-    let entries = shared.cache.lock().expect("cache lock").len();
-    let depth = {
-        let gate = shared.gate.lock().expect("gate lock");
-        gate.running + gate.queued
+/// Applies `update` to the live totals and commits one sample: O(1),
+/// no rendering and no file I/O, so submissions, sheds and refusals
+/// can all afford it.
+fn record_sample(shared: &Shared, update: impl FnOnce(&mut Live)) {
+    let depth = queue_depth(shared);
+    let mut live = shared.live.lock().expect("metrics lock");
+    update(&mut live);
+    live.commit(depth);
+}
+
+/// The `metrics` op's one-line live snapshot: totals, gauges, the
+/// sample history and the number of file exports so far.
+fn metrics_line(shared: &Shared) -> String {
+    let depth = queue_depth(shared);
+    let (t, entries, samples, pending) = {
+        let live = shared.live.lock().expect("metrics lock");
+        (
+            live.totals,
+            live.entries,
+            live.samples,
+            live.pending.samples().len(),
+        )
     };
-    let epoch = shared.samples.fetch_add(1, Ordering::Relaxed);
-    let mut m = shared.metrics.lock().expect("metrics lock");
-    let (hits, misses, evictions, entries_id, submissions, depth_id, shed, drain_refused) = (
-        m.hits,
-        m.misses,
-        m.evictions,
-        m.entries,
-        m.submissions,
-        m.depth,
-        m.shed,
-        m.drain_refused,
-    );
-    m.registry.set(hits, t.hits as f64);
-    m.registry.set(misses, t.misses as f64);
-    m.registry.set(evictions, t.evictions as f64);
-    m.registry.set(entries_id, entries as f64);
-    m.registry.set(submissions, t.submissions as f64);
-    m.registry.set(depth_id, depth as f64);
-    m.registry.set(shed, t.shed as f64);
-    m.registry.set(drain_refused, t.drain_refused as f64);
-    m.registry.commit_sample(epoch, 0, 0);
+    format!(
+        "{{\"ok\":true,\"hits\":{},\"misses\":{},\"evictions\":{},\"submissions\":{},\
+         \"shed\":{},\"drain_refused\":{},\"deadline_refused\":{},\"entries\":{entries},\
+         \"depth\":{depth},\"samples\":{samples},\"pending\":{pending},\"history\":{},\
+         \"history_cap\":{METRICS_HISTORY_ROWS},\"exports\":{},\"export_cadence_ms\":{}}}\n",
+        t.hits,
+        t.misses,
+        t.evictions,
+        t.submissions,
+        t.shed,
+        t.drain_refused,
+        t.deadline_refused,
+        shared.exporter.history.load(Ordering::Relaxed),
+        shared.exporter.exports.load(Ordering::Relaxed),
+        METRICS_EXPORT_CADENCE.as_millis(),
+    )
+}
+
+/// Wakes the exporter and waits until it has exported every sample
+/// committed before the call.
+fn flush_metrics(shared: &Shared) {
+    let ex = &shared.exporter;
+    let mut ctl = ex.ctl.lock().expect("exporter lock");
+    ctl.asked += 1;
+    let asked = ctl.asked;
+    ex.cv.notify_all();
+    while ctl.flushed < asked {
+        ctl = ex.cv.wait(ctl).expect("exporter wait");
+    }
+}
+
+/// The exporter thread: once per [`METRICS_EXPORT_CADENCE`], on a
+/// flush, and once more on stop, it moves pending samples into a
+/// history it owns and rewrites the metric files if there were any.
+fn export_loop(shared: &Shared) {
+    let ex = &shared.exporter;
+    let (mut history, _) = metrics_registry();
+    let mut next = Instant::now() + METRICS_EXPORT_CADENCE;
+    loop {
+        let (asked, stop) = {
+            let mut ctl = ex.ctl.lock().expect("exporter lock");
+            loop {
+                let now = Instant::now();
+                if ctl.stop || ctl.asked > ctl.flushed || now >= next {
+                    break;
+                }
+                ctl = ex
+                    .cv
+                    .wait_timeout(ctl, next - now)
+                    .expect("exporter wait")
+                    .0;
+            }
+            (ctl.asked, ctl.stop)
+        };
+        export_pending(shared, &mut history);
+        next = Instant::now() + METRICS_EXPORT_CADENCE;
+        let mut ctl = ex.ctl.lock().expect("exporter lock");
+        ctl.flushed = asked;
+        ex.cv.notify_all();
+        if stop {
+            return;
+        }
+    }
+}
+
+/// Moves the pending samples into `history` and, if there were any,
+/// writes `serve-metrics.csv` / `serve-metrics.json` atomically. Only
+/// the move happens under the metrics lock.
+fn export_pending(shared: &Shared, history: &mut MetricsRegistry) {
+    let rows = shared
+        .live
+        .lock()
+        .expect("metrics lock")
+        .pending
+        .take_samples();
+    if rows.is_empty() {
+        return;
+    }
+    for row in rows {
+        history.push_sample(row);
+    }
+    shared
+        .exporter
+        .history
+        .store(history.samples().len(), Ordering::Relaxed);
     let csv = shared.opts.out_dir.join("serve-metrics.csv");
     let json = shared.opts.out_dir.join("serve-metrics.json");
-    if let Err(e) = atomic_write(&csv, m.registry.to_csv().as_bytes())
-        .and_then(|()| atomic_write(&json, m.registry.to_json().as_bytes()))
+    match atomic_write(&csv, history.to_csv().as_bytes())
+        .and_then(|()| atomic_write(&json, history.to_json().as_bytes()))
     {
-        eprintln!("serve: cannot write metrics: {e}");
+        Ok(()) => {
+            shared.exporter.exports.fetch_add(1, Ordering::Relaxed);
+        }
+        Err(e) => eprintln!("serve: cannot write metrics: {e}"),
     }
 }

@@ -34,4 +34,6 @@ pub use client::{
     submit, submit_once, submit_request_line, submit_with_retry, RetryPolicy, SubmitError,
     SubmitOutcome,
 };
-pub use daemon::{Daemon, ServeOptions, DEFAULT_PORT};
+pub use daemon::{
+    Daemon, ServeOptions, DEFAULT_PORT, METRICS_EXPORT_CADENCE, METRICS_HISTORY_ROWS,
+};

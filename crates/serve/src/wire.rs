@@ -34,9 +34,11 @@ pub fn digest(cfg: &SystemConfig) -> String {
 }
 
 fn profile_name(profile: &Profile) -> Result<&'static str, String> {
-    let known = Profile::by_name(profile.name)
+    let known = Profile::catalog()
+        .iter()
+        .find(|p| p.name == profile.name)
         .ok_or_else(|| format!("profile {:?} is not in the catalog", profile.name))?;
-    if format!("{known:?}") != format!("{profile:?}") {
+    if known != profile {
         return Err(format!(
             "profile {:?} differs from the catalog entry of that name",
             profile.name
@@ -517,6 +519,30 @@ mod tests {
             assert_ne!(mutated, base, "mutation {why:?} must apply");
             let parsed = jsonv::parse(&mutated).expect("parse");
             assert!(config_from_json(&parsed).is_err(), "{why} must be rejected");
+        }
+    }
+
+    #[test]
+    fn a_changed_catalog_profile_is_refused() {
+        let plain = || SystemConfig::builder().instructions(10_000).warmup(2_000);
+        let mut tweaked = Profile::apache();
+        tweaked.user_burst_mean *= 1.01;
+        let cfg = plain().profile(tweaked.clone()).build();
+        let why = config_to_json(&cfg).expect_err("main profile refused");
+        assert!(why.contains("differs from the catalog"), "{why}");
+        let cfg = plain()
+            .profile(Profile::specjbb())
+            .phase(5_000, tweaked)
+            .build();
+        let why = config_to_json(&cfg).expect_err("phase profile refused");
+        assert!(why.contains("differs from the catalog"), "{why}");
+        for profile in Profile::catalog() {
+            let cfg = plain().profile(profile.clone()).build();
+            assert!(
+                config_to_json(&cfg).is_ok(),
+                "{} is expressible",
+                profile.name
+            );
         }
     }
 

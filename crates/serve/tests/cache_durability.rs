@@ -3,8 +3,8 @@
 //! tolerated, corrupt records are skipped (not poison), duplicates are
 //! last-wins, and eviction compacts the WAL atomically.
 
-use osoffload_runner::journal::envelope;
-use osoffload_runner::{record_plan, run_plan, RunnerOptions};
+use osoffload_runner::journal::{envelope, rekey_stable, restore_from_stable};
+use osoffload_runner::{record_plan, run_plan, PointResult, RunnerOptions};
 use osoffload_serve::cache::{read_entries, ResultCache, HEADER_BODY};
 use osoffload_serve::wire;
 use osoffload_system::experiments::{single_config, Scale};
@@ -399,4 +399,50 @@ fn failed_rows_are_never_cached() {
     failed.restored = None;
     assert!(!cache.insert(wire_text, &failed).expect("insert refused"));
     assert!(cache.is_empty());
+}
+
+/// Field-by-field equality of two rows, including the verbatim stable
+/// text. `Debug` of the outcome compares every report field exactly.
+fn assert_same_row(got: &PointResult, want: &PointResult) {
+    assert_eq!(got.index, want.index);
+    assert_eq!(got.id, want.id);
+    assert_eq!(got.seed, want.seed);
+    assert_eq!(got.config_json, want.config_json);
+    assert_eq!(format!("{:?}", got.outcome), format!("{:?}", want.outcome));
+    assert_eq!(got.wall_ms, want.wall_ms);
+    assert_eq!(got.start_ms, want.start_ms);
+    assert_eq!(got.worker, want.worker);
+    assert_eq!(got.attempts, want.attempts);
+    assert_eq!(got.attempt_ms, want.attempt_ms);
+    assert_eq!(got.injected_faults, want.injected_faults);
+    assert_eq!(got.restored, want.restored);
+    assert_eq!(got.stable_json(), want.stable_json());
+}
+
+#[test]
+fn served_rows_equal_a_restore_of_the_rekeyed_text() {
+    let rows = sample_rows();
+    let dir = scratch("serve-eq");
+    let path = dir.join("cache.wal");
+    let (index, id, seed) = (7, "moved \"row\" é", 99);
+    let check = |cache: &ResultCache, how: &str| {
+        for (wire_text, row) in &rows {
+            let digest = row.config_digest();
+            let served = cache
+                .serve(&digest, wire_text, index, id, seed)
+                .unwrap_or_else(|| panic!("{how}: row served"));
+            let rekeyed = rekey_stable(&row.stable_json(), index, id, seed).expect("rekey");
+            let want = restore_from_stable(&rekeyed).expect("restore");
+            assert_same_row(&served, &want);
+        }
+    };
+    let mut fresh = ResultCache::open(&path, 0).expect("open");
+    for (wire_text, row) in &rows {
+        assert!(fresh.insert(wire_text, row).expect("insert"));
+    }
+    check(&fresh, "freshly inserted");
+    drop(fresh);
+    let loaded = ResultCache::open(&path, 0).expect("reopen");
+    assert!(loaded.warnings().is_empty(), "{:?}", loaded.warnings());
+    check(&loaded, "WAL-loaded");
 }

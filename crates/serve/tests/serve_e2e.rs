@@ -2,13 +2,14 @@
 //! served entirely from cache with a byte-identical canonical archive,
 //! a restarted daemon comes back warm (torn WAL tails tolerated),
 //! cached rows re-key to new plan positions, overload is shed with a
-//! structured retryable refusal, shutdown drains gracefully, and
-//! hostile framing (oversized lines, garbage, vanishing clients,
+//! structured retryable refusal, shutdown drains gracefully, a shed
+//! storm leaves metrics I/O and memory bounded, and hostile framing (oversized lines, garbage, vanishing clients,
 //! slow-loris) gets errors or silence — never a panic or a hang.
 
+use osoffload_runner::jsonv::{self, Value};
 use osoffload_runner::{record_plan, report, run_plan, RunnerOptions};
 use osoffload_serve::client::{self, RetryPolicy, SubmitError};
-use osoffload_serve::daemon::{Daemon, ServeOptions};
+use osoffload_serve::daemon::{Daemon, ServeOptions, METRICS_EXPORT_CADENCE, METRICS_HISTORY_ROWS};
 use osoffload_system::experiments::{single_config, Evaluator, Scale};
 use osoffload_system::PolicyKind;
 use osoffload_workload::Profile;
@@ -144,6 +145,53 @@ fn slow_driver(ev: Evaluator<'_>) {
             compute_profiles: 1,
         },
     ));
+}
+
+/// Several slow points (distinct seeds, so none is a cache hit) that
+/// hold the only submit slot for a few seconds even in a release build.
+fn storm_driver(ev: Evaluator<'_>) {
+    for seed in 3..7 {
+        ev(single_config(
+            Profile::apache(),
+            PolicyKind::HardwarePredictor { threshold: 500 },
+            1_000,
+            1,
+            Scale {
+                instructions: 15_000_000,
+                warmup: 1_000_000,
+                seed,
+                compute_profiles: 1,
+            },
+        ));
+    }
+}
+
+/// One numeric field of a daemon response line.
+fn field(line: &str, key: &str) -> u64 {
+    jsonv::parse(line)
+        .unwrap_or_else(|e| panic!("{e}: {line}"))
+        .get(key)
+        .and_then(Value::as_u64)
+        .unwrap_or_else(|| panic!("no {key} in {line}"))
+}
+
+/// The values of column `name` in an exported metrics CSV, oldest first.
+fn metric_column(csv: &str, name: &str) -> Vec<f64> {
+    let mut lines = csv.lines();
+    let header = lines.next().expect("header");
+    let col = header
+        .split(',')
+        .position(|c| c == name)
+        .unwrap_or_else(|| panic!("no column {name} in {header}"));
+    lines
+        .map(|l| {
+            l.split(',')
+                .nth(col)
+                .expect("cell")
+                .parse()
+                .expect("number")
+        })
+        .collect()
 }
 
 /// Polls `stats` until `pred` holds (the admission gate's state is only
@@ -422,6 +470,8 @@ fn queued_submissions_respect_the_request_deadline() {
         !bounced.is_retryable(),
         "a blown deadline is the caller's problem, not a retry hint"
     );
+    let live = client::metrics(port).expect("metrics");
+    assert_eq!(field(&live, "deadline_refused"), 1, "{live}");
 
     // The slow sweep itself ran under the same deadline, so its point
     // was cut off by the runner's watchdog rather than running forever.
@@ -432,6 +482,76 @@ fn queued_submissions_respect_the_request_deadline() {
     );
     client::stop(port).expect("stop");
     handle.join().expect("daemon thread").expect("daemon exit");
+    let metrics =
+        std::fs::read_to_string(dir.join("served/serve-metrics.csv")).expect("metrics exported");
+    let refused = metric_column(&metrics, "serve.deadline.refused");
+    assert_eq!(refused.last(), Some(&1.0), "{metrics}");
+}
+
+#[test]
+fn shed_storm_keeps_metrics_io_and_history_bounded() {
+    const STORM: u64 = 1_200;
+    let started = Instant::now();
+    let dir = scratch("storm");
+    let opts = ServeOptions {
+        submit_slots: 1,
+        admit_queue: 0,
+        ..serve_opts(&dir)
+    };
+    let (port, handle) = start_daemon(opts);
+
+    let slow = request_line("e2e-storm-slow", storm_driver);
+    let runner = std::thread::spawn(move || client::submit(port, &slow, |_| {}));
+    wait_stats(port, "running=1", |s| s.contains("\"running\":1"));
+
+    // Every one of these is refused at the admission gate while the slow
+    // sweep holds the only slot.
+    let mut shed = 0;
+    while shed < STORM {
+        let reply = raw_request(port, b"{\"op\":\"submit\"}\n");
+        assert!(
+            reply.contains("\"overloaded\""),
+            "refusal {shed} of {STORM}: {reply}"
+        );
+        shed += 1;
+    }
+    // The exporter catches up on its own cadence, not per request.
+    let live = loop {
+        let live = client::metrics(port).expect("metrics");
+        if field(&live, "exports") > 0 {
+            break live;
+        }
+        assert!(
+            started.elapsed() < Duration::from_secs(60),
+            "no export: {live}"
+        );
+        std::thread::sleep(Duration::from_millis(50));
+    };
+    let elapsed = started.elapsed();
+    assert!(field(&live, "shed") >= STORM, "{live}");
+    assert!(field(&live, "samples") >= STORM, "{live}");
+    let ticks = elapsed.as_secs_f64() / METRICS_EXPORT_CADENCE.as_secs_f64();
+    assert!(
+        field(&live, "exports") as f64 <= ticks + 2.0,
+        "file exports must follow the cadence, not the requests ({elapsed:?}): {live}"
+    );
+    let cap = METRICS_HISTORY_ROWS as u64;
+    assert_eq!(field(&live, "history_cap"), cap, "{live}");
+    assert!(field(&live, "history") <= cap, "{live}");
+    assert!(field(&live, "pending") <= cap, "{live}");
+
+    let slow_outcome = runner.join().expect("slow thread").expect("slow submit");
+    assert_eq!(slow_outcome.failed, 0);
+    client::stop(port).expect("stop");
+    handle.join().expect("daemon thread").expect("daemon exit");
+
+    // The drain's final export holds the newest samples only, the last
+    // of them counting every shed.
+    let metrics =
+        std::fs::read_to_string(dir.join("served/serve-metrics.csv")).expect("metrics exported");
+    let sheds = metric_column(&metrics, "serve.queue.shed");
+    assert_eq!(sheds.len(), METRICS_HISTORY_ROWS, "history is bounded");
+    assert!(*sheds.last().expect("a row") >= STORM as f64, "{sheds:?}");
 }
 
 /// Writes raw bytes as one request and returns the response line (empty

@@ -639,12 +639,21 @@ impl Profile {
         ]
     }
 
+    /// Every catalog profile, servers then compute, built once per
+    /// process.
+    pub fn catalog() -> &'static [Profile] {
+        static CATALOG: std::sync::OnceLock<Vec<Profile>> = std::sync::OnceLock::new();
+        CATALOG.get_or_init(|| {
+            Self::all_server()
+                .into_iter()
+                .chain(Self::all_compute())
+                .collect()
+        })
+    }
+
     /// Looks a profile up by its figure name.
     pub fn by_name(name: &str) -> Option<Profile> {
-        Self::all_server()
-            .into_iter()
-            .chain(Self::all_compute())
-            .find(|p| p.name == name)
+        Self::catalog().iter().find(|p| p.name == name).cloned()
     }
 }
 
@@ -727,6 +736,15 @@ mod tests {
             assert_eq!(found.name, p.name);
         }
         assert!(Profile::by_name("nonexistent").is_none());
+    }
+
+    #[test]
+    fn catalog_matches_freshly_built_profiles() {
+        let fresh: Vec<Profile> = Profile::all_server()
+            .into_iter()
+            .chain(Profile::all_compute())
+            .collect();
+        assert_eq!(Profile::catalog(), fresh.as_slice());
     }
 
     #[test]
