@@ -6,10 +6,11 @@
 //! which the directory itself is fsynced. A reader (or a run that
 //! crashed mid-write and was resumed) therefore sees either the
 //! complete previous file or the complete new one — never a torn
-//! prefix.
+//! prefix. [`atomic_write_if_changed`] skips the rewrite when the
+//! destination already holds the bytes, and only syncs it in place.
 
 use std::fs::{self, File, OpenOptions};
-use std::io::{self, Write as _};
+use std::io::{self, Read as _, Write as _};
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -26,11 +27,8 @@ static TMP_SEQ: AtomicU64 = AtomicU64::new(0);
 /// writers to the *same* destination still last-write-win, as with a
 /// plain write.
 pub fn atomic_write(path: &Path, bytes: &[u8]) -> io::Result<()> {
-    let dir = match path.parent() {
-        Some(p) if !p.as_os_str().is_empty() => p.to_path_buf(),
-        _ => std::path::PathBuf::from("."),
-    };
-    fs::create_dir_all(&dir)?;
+    let dir = parent_dir(path);
+    fs::create_dir_all(dir)?;
     let file_name = path
         .file_name()
         .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidInput, "path has no file name"))?
@@ -51,19 +49,59 @@ pub fn atomic_write(path: &Path, bytes: &[u8]) -> io::Result<()> {
         f.write_all(bytes)?;
         f.sync_all()?;
         fs::rename(&tmp, path)?;
-        // Persist the rename itself: fsync the containing directory.
-        // Not every filesystem supports opening a directory for sync
-        // (and none of the portable fallbacks do better), so treat a
-        // failure to sync the directory as best-effort.
-        if let Ok(d) = File::open(&dir) {
-            let _ = d.sync_all();
-        }
+        // Persist the rename itself.
+        sync_dir(dir);
         Ok(())
     })();
     if result.is_err() {
         let _ = fs::remove_file(&tmp);
     }
     result
+}
+
+/// [`atomic_write`], except that a destination already holding exactly
+/// `bytes` is left in place: it is fsynced, and so is its directory,
+/// which gives the same durability guarantee without a second write.
+/// Any other destination — missing, not a regular file, unreadable,
+/// of another length or with other contents — goes through
+/// [`atomic_write`] unchanged, errors included.
+pub fn atomic_write_if_changed(path: &Path, bytes: &[u8]) -> io::Result<()> {
+    if let Some(file) = holding(path, bytes) {
+        file.sync_all()?;
+        sync_dir(parent_dir(path));
+        return Ok(());
+    }
+    atomic_write(path, bytes)
+}
+
+/// The directory `path` lives in (`.` for a bare file name).
+fn parent_dir(path: &Path) -> &Path {
+    match path.parent() {
+        Some(p) if !p.as_os_str().is_empty() => p,
+        _ => Path::new("."),
+    }
+}
+
+/// Fsyncs a directory so renames and creations in it persist. Not
+/// every filesystem supports opening a directory for sync (and none of
+/// the portable fallbacks do better), so this is best-effort.
+fn sync_dir(dir: &Path) {
+    if let Ok(d) = File::open(dir) {
+        let _ = d.sync_all();
+    }
+}
+
+/// The open destination when it is a regular file whose contents are
+/// exactly `bytes`; `None` on any mismatch or error.
+fn holding(path: &Path, bytes: &[u8]) -> Option<File> {
+    let mut file = File::open(path).ok()?;
+    let meta = file.metadata().ok()?;
+    if !meta.is_file() || meta.len() != bytes.len() as u64 {
+        return None;
+    }
+    let mut existing = Vec::with_capacity(bytes.len());
+    file.read_to_end(&mut existing).ok()?;
+    (existing == bytes).then_some(file)
 }
 
 #[cfg(test)]
@@ -128,6 +166,83 @@ mod tests {
             .collect();
         assert_eq!(names, vec!["same.json".to_string()]);
         fs::remove_dir_all(&dir).unwrap();
+    }
+
+    fn names(dir: &Path) -> Vec<String> {
+        let mut names: Vec<String> = fs::read_dir(dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+            .collect();
+        names.sort();
+        names
+    }
+
+    #[cfg(unix)]
+    fn inode(path: &Path) -> u64 {
+        std::os::unix::fs::MetadataExt::ino(&fs::metadata(path).unwrap())
+    }
+
+    #[cfg(unix)]
+    #[test]
+    fn identical_bytes_are_synced_in_place() {
+        let dir = tmp_dir("same");
+        let _ = fs::remove_dir_all(&dir);
+        let path = dir.join("archive.json");
+        atomic_write(&path, b"{\"rows\":[1,2,3]}").unwrap();
+        let before = inode(&path);
+        atomic_write_if_changed(&path, b"{\"rows\":[1,2,3]}").unwrap();
+        assert_eq!(inode(&path), before, "the file was not replaced");
+        assert_eq!(fs::read(&path).unwrap(), b"{\"rows\":[1,2,3]}");
+        assert_eq!(
+            names(&dir),
+            vec!["archive.json".to_string()],
+            "no temp file"
+        );
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn missing_differing_or_truncated_files_are_replaced() {
+        let dir = tmp_dir("differ");
+        let _ = fs::remove_dir_all(&dir);
+        let path = dir.join("nested").join("archive.json");
+        let want = b"{\"rows\":[1,2,3]}";
+        atomic_write_if_changed(&path, want).unwrap();
+        assert_eq!(fs::read(&path).unwrap(), want, "missing file written");
+        for stale in [
+            &b"{\"rows\":[1,2,4]}"[..],
+            &want[..7],
+            b"",
+            b"{\"rows\":[1,2,3]}\n",
+        ] {
+            fs::write(&path, stale).unwrap();
+            #[cfg(unix)]
+            let before = inode(&path);
+            atomic_write_if_changed(&path, want).unwrap();
+            assert_eq!(fs::read(&path).unwrap(), want, "stale {stale:?} replaced");
+            #[cfg(unix)]
+            assert_ne!(inode(&path), before, "replaced by rename, not in place");
+            assert_eq!(
+                names(path.parent().unwrap()),
+                vec!["archive.json".to_string()]
+            );
+        }
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn unreadable_destination_fails_as_atomic_write_does() {
+        let dir = tmp_dir("unreadable");
+        let _ = fs::remove_dir_all(&dir);
+        let target = dir.join("occupied");
+        fs::create_dir_all(&target).unwrap();
+        let plain = atomic_write(&target, b"x").unwrap_err();
+        let checked = atomic_write_if_changed(&target, b"x").unwrap_err();
+        assert_eq!(checked.kind(), plain.kind());
+        assert_eq!(checked.to_string(), plain.to_string());
+        assert_eq!(names(&dir), vec!["occupied".to_string()]);
+        assert!(target.is_dir(), "the destination is untouched");
+        let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]

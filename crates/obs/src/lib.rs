@@ -30,6 +30,6 @@ pub mod telemetry;
 
 pub use event::{Event, EventKind, Track};
 pub use export::{chrome_trace, json_escape, json_string, RunTelemetry};
-pub use fsio::atomic_write;
+pub use fsio::{atomic_write, atomic_write_if_changed};
 pub use metrics::{MetricId, MetricKind, MetricsRegistry, SampleRow};
 pub use telemetry::{EventBuffer, Telemetry, TelemetryMode};

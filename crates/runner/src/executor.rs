@@ -520,6 +520,13 @@ pub(crate) fn sanitize_id(id: &str) -> String {
 #[repr(align(64))]
 struct CachePadded<T>(T);
 
+#[cfg(test)]
+thread_local! {
+    /// Threads [`execute`] has spawned from this thread, so tests can
+    /// prove a fully served sweep spawns none.
+    static SPAWNED: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+}
+
 /// Per-completion callback for [`ExecHooks`]: the finished row, plus
 /// `true` when it was served without evaluation (prefilled or
 /// journal-restored) and `false` when freshly computed this run.
@@ -534,7 +541,8 @@ pub struct ExecHooks<'a> {
     /// Rows to install before any worker starts, indexed by plan
     /// position (`prefill[i]` fills point `i`; `None` entries and
     /// entries beyond the plan length are ignored). A prefilled point
-    /// is never evaluated — exactly like a journal-restored one.
+    /// is never evaluated — exactly like a journal-restored one — and
+    /// when every point is served this way no thread is spawned.
     pub prefill: Vec<Option<PointResult>>,
     /// Called once per row as it becomes final, from whichever thread
     /// produced it.
@@ -760,7 +768,7 @@ fn execute<S>(
         master_seed: plan.master_seed(),
         points: n,
     };
-    let slots: Vec<Mutex<Option<PointResult>>> = (0..n).map(|_| Mutex::new(None)).collect();
+    let mut slots: Vec<Mutex<Option<PointResult>>> = (0..n).map(|_| Mutex::new(None)).collect();
     let mut restored_ok = 0usize;
     let mut restored_failed = 0usize;
     let journal_writer: Option<Journal> = if let Some(path) = &opts.resume {
@@ -796,7 +804,7 @@ fn execute<S>(
                     restored_failed += 1;
                 }
                 let index = row.index;
-                *slots[index].lock().expect("result slot poisoned") = Some(row);
+                *slots[index].get_mut().expect("result slot poisoned") = Some(row);
             }
             Some(
                 Journal::open_append(path)
@@ -816,14 +824,15 @@ fn execute<S>(
     };
     let journal_writer = Mutex::new(journal_writer);
 
-    // Install caller-supplied rows (cache hits) into still-empty slots.
-    // A journal-restored row for the same point wins: it is this
-    // campaign's own record.
+    // Install caller-supplied rows (cache hits) into still-empty slots,
+    // moving them rather than cloning. A journal-restored row for the
+    // same point wins: it is this campaign's own record.
+    let ExecHooks { prefill, on_point } = hooks;
     let mut prefilled_ok = 0usize;
     let mut prefilled_failed = 0usize;
-    for (i, row) in hooks.prefill.iter().enumerate().take(n) {
+    for (i, row) in prefill.into_iter().enumerate().take(n) {
         let Some(row) = row else { continue };
-        let mut slot = slots[i].lock().expect("result slot poisoned");
+        let slot = slots[i].get_mut().expect("result slot poisoned");
         if slot.is_some() {
             continue;
         }
@@ -838,12 +847,12 @@ fn execute<S>(
         } else {
             prefilled_failed += 1;
         }
-        *slot = Some(row.clone());
+        *slot = Some(row);
     }
-    let on_point = hooks.on_point;
+    let served = restored_ok + restored_failed + prefilled_ok + prefilled_failed;
 
     let progress = Progress::new(plan.name(), n, opts.quiet);
-    if restored_ok + restored_failed + prefilled_ok + prefilled_failed > 0 {
+    if served > 0 {
         progress.skip(
             restored_ok + prefilled_ok,
             restored_failed + prefilled_failed,
@@ -881,10 +890,18 @@ fn execute<S>(
     let active_workers = CachePadded(AtomicUsize::new(workers));
     let stop_watchdog = CachePadded(AtomicBool::new(false));
 
+    // With every slot already served there is nothing to claim: no
+    // worker and no watchdog is spawned. The envelope still records
+    // the worker count the sweep was sized for.
     std::thread::scope(|scope| {
+        if served == n {
+            return;
+        }
         if let Some(ms) = deadline {
             let watch = &watch;
             let stop = &stop_watchdog;
+            #[cfg(test)]
+            SPAWNED.with(|c| c.set(c.get() + 1));
             scope.spawn(move || {
                 let poll = Duration::from_millis((ms / 4).clamp(1, 50));
                 let limit = Duration::from_millis(ms);
@@ -915,6 +932,8 @@ fn execute<S>(
             let watch = &watch;
             let active_workers = &active_workers;
             let stop_watchdog = &stop_watchdog;
+            #[cfg(test)]
+            SPAWNED.with(|c| c.set(c.get() + 1));
             scope.spawn(move || {
                 loop {
                     let u = next.0.fetch_add(1, Ordering::Relaxed);
@@ -1483,6 +1502,118 @@ mod tests {
             vec![(0, true), (1, true), (2, false), (3, true), (4, true)],
             "every point announced exactly once with its hit/miss flag"
         );
+    }
+
+    fn spawned() -> usize {
+        SPAWNED.with(std::cell::Cell::get)
+    }
+
+    fn tmp_path(tag: &str) -> std::path::PathBuf {
+        let dir = std::env::temp_dir().join(format!("osoffload-exec-{tag}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).expect("create temp dir");
+        dir
+    }
+
+    #[test]
+    fn fully_prefilled_sweep_evaluates_nothing_and_spawns_no_thread() {
+        let plan = plan(5);
+        let opts = RunnerOptions {
+            workers: 3,
+            quiet: true,
+            deadline_ms: Some(60_000),
+            ..RunnerOptions::default()
+        };
+        let first = run_plan_with(&plan, &opts, fake_report);
+        let prefill: Vec<Option<PointResult>> =
+            first.rows.iter().map(|r| Some(r.clone())).collect();
+        let caller = std::thread::current().id();
+        let seen: Mutex<Vec<(usize, bool)>> = Mutex::new(Vec::new());
+        let cb = |row: &PointResult, served: bool| {
+            assert_eq!(std::thread::current().id(), caller, "announced off-thread");
+            seen.lock().unwrap().push((row.index, served));
+        };
+        let evaluated = AtomicUsize::new(0);
+        let before = spawned();
+        let second = run_plan_ctx_hooked(
+            &plan,
+            &opts,
+            ExecHooks {
+                prefill,
+                on_point: Some(&cb),
+            },
+            |p, _ctx| {
+                evaluated.fetch_add(1, Ordering::Relaxed);
+                fake_report(p)
+            },
+        );
+        assert_eq!(evaluated.load(Ordering::Relaxed), 0, "nothing evaluated");
+        assert_eq!(spawned(), before, "no worker or watchdog thread");
+        let a: Vec<String> = first.rows.iter().map(|r| r.row_json()).collect();
+        let b: Vec<String> = second.rows.iter().map(|r| r.row_json()).collect();
+        assert_eq!(a, b, "rows equal the prefill, timings included");
+        assert_eq!(
+            seen.into_inner().unwrap(),
+            (0..5).map(|i| (i, true)).collect::<Vec<_>>(),
+            "every row announced once, in plan order, as served"
+        );
+    }
+
+    #[test]
+    fn fully_served_non_canonical_sweep_records_the_same_workers() {
+        let plan = plan(5);
+        for workers in [0, 2, 8] {
+            let opts = RunnerOptions {
+                workers,
+                quiet: true,
+                ..RunnerOptions::default()
+            };
+            let computed = run_plan_with(&plan, &opts, fake_report);
+            let prefill = computed.rows.iter().map(|r| Some(r.clone())).collect();
+            let before = spawned();
+            let served = run_plan_ctx_hooked(
+                &plan,
+                &opts,
+                ExecHooks {
+                    prefill,
+                    on_point: None,
+                },
+                |_p, _ctx| unreachable!("a served point is evaluated"),
+            );
+            assert_eq!(spawned(), before);
+            assert_eq!(served.workers, computed.workers, "--workers={workers}");
+            assert_eq!(served.workers, opts.effective_workers(plan.len()));
+        }
+    }
+
+    #[test]
+    fn resuming_a_complete_journal_evaluates_nothing() {
+        let plan = plan(4);
+        let dir = tmp_path("resume-complete");
+        let journal = dir.join("unit.journal");
+        let opts = RunnerOptions {
+            workers: 2,
+            quiet: true,
+            canonical: true,
+            journal: Some(journal.clone()),
+            ..RunnerOptions::default()
+        };
+        let first = run_plan_with(&plan, &opts, fake_report);
+        let resume = RunnerOptions {
+            journal: None,
+            resume: Some(journal),
+            ..opts
+        };
+        let evaluated = AtomicUsize::new(0);
+        let before = spawned();
+        let resumed = run_plan_ctx(&plan, &resume, |p, _ctx| {
+            evaluated.fetch_add(1, Ordering::Relaxed);
+            fake_report(p)
+        });
+        assert_eq!(evaluated.load(Ordering::Relaxed), 0, "nothing evaluated");
+        assert_eq!(spawned(), before, "no worker or watchdog thread");
+        assert_eq!(first.to_json(), resumed.to_json(), "byte-identical archive");
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

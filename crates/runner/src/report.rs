@@ -21,10 +21,11 @@
 //! Every file in this module is written through
 //! [`osoffload_obs::atomic_write`] — temp file, fsync, atomic rename —
 //! so a crash mid-write can never leave a half-written archive where a
-//! previous good one stood.
+//! previous good one stood. A sweep archive whose file already holds
+//! the same bytes is fsynced in place rather than rewritten.
 
 use crate::executor::{Outcome, SweepResult};
-use osoffload_obs::{atomic_write, chrome_trace, Event, EventKind, Track};
+use osoffload_obs::{atomic_write, atomic_write_if_changed, chrome_trace, Event, EventKind, Track};
 use osoffload_system::{CycleProfile, SystemConfig};
 use std::io;
 use std::path::{Path, PathBuf};
@@ -76,11 +77,13 @@ pub fn config_json(cfg: &SystemConfig) -> String {
 }
 
 /// Writes a sweep's results to `<dir>/<plan name>.json` atomically
-/// (temp file + rename), creating the directory if needed. Returns the
-/// file's path.
+/// (temp file + rename), creating the directory if needed. A file that
+/// already holds exactly these bytes is synced in place instead of
+/// rewritten (see [`atomic_write_if_changed`]). Returns the file's
+/// path.
 pub fn write_sweep(sweep: &SweepResult, dir: &Path) -> io::Result<PathBuf> {
     let path = dir.join(format!("{}.json", sweep.name));
-    atomic_write(&path, sweep.to_json().as_bytes())?;
+    atomic_write_if_changed(&path, sweep.to_json().as_bytes())?;
     Ok(path)
 }
 

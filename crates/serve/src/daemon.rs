@@ -15,9 +15,11 @@
 //!   acknowledgement line is written and the listener closes.
 //! - `{"op":"submit","experiment":..,"master_seed":..,"points":[..]}` →
 //!   an `accepted` event, one `point` event per point as it completes
-//!   (cached points first, announced before any computation starts),
-//!   and a final `done` event carrying hit/miss totals and the archive
-//!   path.
+//!   (cached points first, written as one burst before any computation
+//!   starts), and a final `done` event carrying hit/miss totals and the
+//!   archive path. A fully cached submission spawns no runner thread,
+//!   and an archive that already holds the rendered bytes is synced in
+//!   place rather than rewritten.
 //!
 //! # Concurrency and admission control
 //!
@@ -67,7 +69,7 @@ use osoffload_runner::jsonv::{self, Value};
 use osoffload_runner::report::write_sweep;
 use osoffload_runner::{run_plan_hooked, ExecHooks, ExperimentPlan, Outcome, RunnerOptions};
 use std::collections::VecDeque;
-use std::io::{BufRead, Write};
+use std::io::{BufRead, BufWriter, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -869,12 +871,17 @@ fn handle_submit(
 
     let hits = AtomicU64::new(0);
     let misses = AtomicU64::new(0);
-    let stream = Mutex::new(out);
+    // Point events share one buffered writer. The executor announces
+    // every pre-served row before any worker starts, so those go out as
+    // one burst when the last of them is written; each computed row is
+    // flushed as soon as it is final.
+    let served = prefill.iter().filter(|row| row.is_some()).count() as u64;
+    let stream = Mutex::new(BufWriter::with_capacity(64 << 10, out));
     let wires: Vec<&str> = points.iter().map(|p| p.wire.as_str()).collect();
     let digests: Vec<&str> = points.iter().map(|p| p.digest.as_str()).collect();
     let on_point = |row: &osoffload_runner::PointResult, cached: bool| {
-        if cached {
-            hits.fetch_add(1, Ordering::Relaxed);
+        let flush = if cached {
+            hits.fetch_add(1, Ordering::Relaxed) + 1 == served
         } else {
             misses.fetch_add(1, Ordering::Relaxed);
             // Cache the fresh row before acknowledging it: after a
@@ -888,7 +895,8 @@ fn handle_submit(
                 Ok(_) => {}
                 Err(why) => eprintln!("serve: {why}"),
             }
-        }
+            true
+        };
         let status = match &row.outcome {
             Outcome::Ok(_) => "ok",
             Outcome::Failed { .. } => "failed",
@@ -906,13 +914,19 @@ fn handle_submit(
         // A vanished client must not abort the sweep: results still
         // land in the cache for the next submission.
         let mut s = stream.lock().expect("stream lock");
-        let _ = (&mut *s).write_all(line.as_bytes());
+        let _ = s.write_all(line.as_bytes());
+        if flush {
+            let _ = s.flush();
+        }
     };
     let hooks = ExecHooks {
         prefill,
         on_point: Some(&on_point),
     };
     let mut sweep = run_plan_hooked(&plan, &ropts, hooks);
+    // Nothing should be left buffered; flushing anyway keeps every
+    // point event ahead of `done` whatever the executor announced.
+    let _ = stream.lock().expect("stream lock").flush();
 
     // Normalise run-shape fields so retried / fault-injected /
     // cache-served sweeps archive byte-identically to a clean

@@ -1,5 +1,6 @@
 //! End-to-end proofs for the serve daemon: a resubmitted sweep is
 //! served entirely from cache with a byte-identical canonical archive,
+//! a partly cached one streams its hits ahead of its miss,
 //! a restarted daemon comes back warm (torn WAL tails tolerated),
 //! cached rows re-key to new plan positions, overload is shed with a
 //! structured retryable refusal, shutdown drains gracefully, a shed
@@ -10,6 +11,7 @@ use osoffload_runner::jsonv::{self, Value};
 use osoffload_runner::{record_plan, report, run_plan, RunnerOptions};
 use osoffload_serve::client::{self, RetryPolicy, SubmitError};
 use osoffload_serve::daemon::{Daemon, ServeOptions, METRICS_EXPORT_CADENCE, METRICS_HISTORY_ROWS};
+use osoffload_serve::wire;
 use osoffload_system::experiments::{single_config, Evaluator, Scale};
 use osoffload_system::PolicyKind;
 use osoffload_workload::Profile;
@@ -256,6 +258,85 @@ fn resubmitted_sweep_is_all_hits_and_byte_identical() {
     let metrics =
         std::fs::read_to_string(dir.join("served/serve-metrics.csv")).expect("metrics exported");
     assert!(metrics.contains("serve.cache.hits"), "{metrics}");
+}
+
+#[test]
+fn partly_cached_submission_streams_its_hits_first() {
+    let dir = scratch("partial");
+    let direct = direct_archive("e2e-partial", &dir.join("direct"), full_driver);
+    let (port, handle) = start_daemon(serve_opts(&dir));
+    // Cache two of the three configurations under another plan; the
+    // full plan then has hits at indices 0 and 2 and one miss at 1.
+    let warmup = submit(port, "e2e-partial-warmup", subset_driver);
+    assert_eq!(warmup.misses, 2);
+
+    let mut events = Vec::new();
+    let outcome = client::submit(port, &request_line("e2e-partial", full_driver), |e| {
+        events.push(e.to_string())
+    })
+    .expect("submit");
+    assert_eq!(
+        (outcome.points, outcome.hits, outcome.misses, outcome.failed),
+        (3, 2, 1, 0)
+    );
+    let cached: Vec<bool> = events
+        .iter()
+        .filter(|e| e.starts_with("{\"event\":\"point\""))
+        .map(|e| e.contains("\"cached\":true"))
+        .collect();
+    assert_eq!(
+        cached,
+        vec![true, true, false],
+        "every cached event precedes the miss's: {events:#?}"
+    );
+
+    // The same lines as ever, whatever the batching on the wire.
+    let plan = record_plan("e2e-partial", tiny().seed, |ev| full_driver(ev));
+    let mut expected = vec!["{\"event\":\"accepted\",\"points\":3}".to_string()];
+    for p in plan.points() {
+        expected.push(format!(
+            "{{\"event\":\"point\",\"index\":{},\"id\":\"{}\",\"digest\":\"{}\",\
+             \"cached\":{},\"status\":\"ok\"}}",
+            p.index,
+            p.id,
+            wire::digest(&p.config),
+            p.index != 1
+        ));
+    }
+    expected.push(format!(
+        "{{\"event\":\"done\",\"ok\":true,\"points\":3,\"hits\":2,\"misses\":1,\
+         \"failed\":0,\"evicted\":0,\"archive\":\"{}\"}}",
+        outcome.archive
+    ));
+    assert_eq!(events.first(), expected.first());
+    assert_eq!(events.last(), expected.last());
+    events.sort();
+    expected.sort();
+    assert_eq!(events, expected);
+    assert_eq!(
+        std::fs::read(&outcome.archive).expect("read served archive"),
+        direct,
+        "partly cached archive != direct canonical archive"
+    );
+
+    // A fully cached resubmission leaves the unchanged archive in place.
+    #[cfg(unix)]
+    let inode = |path: &str| {
+        std::os::unix::fs::MetadataExt::ino(&std::fs::metadata(path).expect("stat archive"))
+    };
+    #[cfg(unix)]
+    let before = inode(&outcome.archive);
+    let warm = submit(port, "e2e-partial", full_driver);
+    assert_eq!((warm.hits, warm.misses), (3, 0));
+    assert_eq!(warm.archive, outcome.archive);
+    #[cfg(unix)]
+    assert_eq!(inode(&warm.archive), before, "archive rewritten");
+    assert_eq!(
+        std::fs::read(&warm.archive).expect("read rewarmed archive"),
+        direct
+    );
+    client::stop(port).expect("stop");
+    handle.join().expect("daemon thread").expect("daemon exit");
 }
 
 #[test]
