@@ -2,20 +2,21 @@
 //!
 //! Times reference Figure 4 / Table III configurations best-of-N plus the
 //! whole Figure 4 quick sweep (sequential, single-threaded, so numbers are
-//! comparable across commits) — scalar and through the lane engine
-//! (`run_lanes` at the runner's auto width) — prints a table, and archives
-//! `results/BENCH_simulation.json`. Scalar and lane sweep reps are
-//! interleaved so ambient machine drift hits both sides equally instead
-//! of biasing the reported speedup.
+//! comparable across commits) — drawing live, and replayed shape by shape
+//! through one `TapeRegistry` as a runner worker replays it — prints a
+//! table, and archives `results/BENCH_simulation.json`. Live and replay
+//! sweep reps are interleaved so ambient machine drift hits both sides
+//! equally instead of biasing the reported speedup.
 //!
 //! Modes:
 //!
 //! * `bench_simulation [quick|full|paper]` — measure and archive.
 //! * `--before=PATH` — embed a previous run's numbers as the "before"
 //!   section and report speedups against them.
-//! * `--check=PATH` — CI gate: compare the measured *lane* sweep time
-//!   (the path the runner actually takes) against the `baseline_ms`
-//!   recorded in PATH and exit non-zero on a >20% regression.
+//! * `--check=PATH` — CI gate: compare the measured *replay* sweep time
+//!   (the path the runner actually takes), archived under its historical
+//!   name `fig4_quick_sweep_lanes_ms`, against the `baseline_ms` recorded
+//!   in PATH and exit non-zero on a >20% regression.
 //!
 //! No external dependencies: timing via `std::time::Instant`, JSON written
 //! and scanned by hand.
@@ -24,7 +25,7 @@ use osoffload_bench::render_table;
 use osoffload_system::experiments::{
     fig4_grid_with, simulate, single_config, Scale, FIG4_LATENCIES, FIG4_THRESHOLDS,
 };
-use osoffload_system::{run_lanes, PolicyKind, SystemConfig};
+use osoffload_system::{tape_compatible, PolicyKind, SystemConfig, TapeRegistry};
 use osoffload_workload::Profile;
 use std::hint::black_box;
 use std::path::PathBuf;
@@ -180,8 +181,8 @@ fn main() {
         point_ms.push(ms);
     }
 
-    // Record the sweep's configurations once (untimed) so the lane side
-    // replays exactly the grid the scalar driver runs. The recording
+    // Record the sweep's configurations once (untimed) so the replay
+    // side runs exactly the grid the live driver runs. The recording
     // pass evaluates a truncated stand-in per point only to satisfy the
     // driver's report plumbing.
     let mut grid: Vec<SystemConfig> = Vec::new();
@@ -197,18 +198,37 @@ fn main() {
         let _ = fig4_grid_with(args.scale, FIG4_LATENCIES, FIG4_THRESHOLDS, &mut record);
     }
 
-    // Interleaved best-of: one warm pass each, then scalar/lane pairs
+    // The replay side visits the grid shape-major, as the runner claims
+    // it, and builds every simulation from one registry per sweep, so
+    // each shape's tape is generated once and replayed by its points.
+    let mut shapes: Vec<Vec<SystemConfig>> = Vec::new();
+    for cfg in grid {
+        match shapes.iter_mut().find(|s| tape_compatible(&s[0], &cfg)) {
+            Some(shape) => shape.push(cfg),
+            None => shapes.push(vec![cfg]),
+        }
+    }
+    let replay_sweep = || {
+        let mut tapes = TapeRegistry::new();
+        for cfg in shapes.iter().flatten() {
+            let sim = tapes
+                .simulation(cfg.clone())
+                .expect("grid configs are valid");
+            black_box(sim.run());
+        }
+    };
+
+    // Interleaved best-of: one warm pass each, then live/replay pairs
     // back to back, so a noisy neighbour slows both sides of the ratio.
-    const LANE_WIDTH: usize = 4;
     let mut sweep_ms = f64::INFINITY;
-    let mut lanes_ms = f64::INFINITY;
+    let mut replay_ms = f64::INFINITY;
     black_box(fig4_grid_with(
         args.scale,
         FIG4_LATENCIES,
         FIG4_THRESHOLDS,
         &mut simulate,
     ));
-    black_box(run_lanes(&grid, LANE_WIDTH).expect("grid configs are valid"));
+    replay_sweep();
     for _ in 0..sweep_reps {
         let start = Instant::now();
         black_box(fig4_grid_with(
@@ -219,13 +239,13 @@ fn main() {
         ));
         sweep_ms = sweep_ms.min(start.elapsed().as_secs_f64() * 1e3);
         let start = Instant::now();
-        black_box(run_lanes(&grid, LANE_WIDTH).expect("grid configs are valid"));
-        lanes_ms = lanes_ms.min(start.elapsed().as_secs_f64() * 1e3);
+        replay_sweep();
+        replay_ms = replay_ms.min(start.elapsed().as_secs_f64() * 1e3);
     }
-    let speedup_lanes = sweep_ms / lanes_ms;
+    let speedup_replay = sweep_ms / replay_ms;
     eprintln!(
-        "[bench_simulation] fig4_{}_sweep: scalar {sweep_ms:.1} ms, \
-         lanes={LANE_WIDTH} {lanes_ms:.1} ms ({speedup_lanes:.2}x)",
+        "[bench_simulation] fig4_{}_sweep: live {sweep_ms:.1} ms, \
+         replay {replay_ms:.1} ms ({speedup_replay:.2}x)",
         args.scale_word
     );
 
@@ -253,10 +273,10 @@ fn main() {
         before_sweep.map_or_else(|| "-".into(), |b| format!("{:.2}x", b / sweep_ms)),
     ]);
     rows.push(vec![
-        format!("fig4_{}_sweep_lanes{LANE_WIDTH}", args.scale_word),
+        format!("fig4_{}_sweep_replay", args.scale_word),
         "-".into(),
-        format!("{lanes_ms:.1}"),
-        format!("{speedup_lanes:.2}x vs scalar"),
+        format!("{replay_ms:.1}"),
+        format!("{speedup_replay:.2}x vs live"),
     ]);
     println!(
         "{}",
@@ -306,15 +326,15 @@ fn main() {
     json.push_str(&section(&current, sweep_ms));
     json.push_str(",\n");
     json.push_str(&format!(
-        "  \"lanes\": {{\"width\": {LANE_WIDTH}, \"fig4_quick_sweep_lanes_ms\": {lanes_ms:.3}, \"speedup_lanes_vs_scalar\": {speedup_lanes:.3}}},\n"
+        "  \"lanes\": {{\"fig4_quick_sweep_lanes_ms\": {replay_ms:.3}, \"speedup_lanes_vs_scalar\": {speedup_replay:.3}}},\n"
     ));
     json.push_str(
-        "  \"notes\": \"scalar and lane sweep reps interleaved to cancel ambient drift; \
+        "  \"notes\": \"live and replay sweep reps interleaved to cancel ambient drift; \
          executor claim index / watchdog slots cache-line padded (false-sharing fix) — \
          single-worker sweep time unchanged within noise, padding is for multi-worker hosts\",\n",
     );
     json.push_str(&format!(
-        "  \"gate\": {{\"metric\": \"fig4_quick_sweep_lanes_ms\", \"baseline_ms\": {lanes_ms:.3}, \"max_regression_factor\": {MAX_REGRESSION_FACTOR}}}\n}}\n"
+        "  \"gate\": {{\"metric\": \"fig4_quick_sweep_lanes_ms\", \"baseline_ms\": {replay_ms:.3}, \"max_regression_factor\": {MAX_REGRESSION_FACTOR}}}\n}}\n"
     ));
 
     std::fs::create_dir_all(&args.out_dir).expect("create out dir");
@@ -335,15 +355,15 @@ fn main() {
                 std::process::exit(1);
             });
         let limit = baseline * MAX_REGRESSION_FACTOR;
-        if lanes_ms > limit {
+        if replay_ms > limit {
             eprintln!(
-                "[bench_simulation] GATE FAIL: lane sweep {lanes_ms:.1} ms > {limit:.1} ms \
+                "[bench_simulation] GATE FAIL: replay sweep {replay_ms:.1} ms > {limit:.1} ms \
                  (baseline {baseline:.1} ms x {MAX_REGRESSION_FACTOR})"
             );
             std::process::exit(1);
         }
         eprintln!(
-            "[bench_simulation] gate ok: lane sweep {lanes_ms:.1} ms <= {limit:.1} ms \
+            "[bench_simulation] gate ok: replay sweep {replay_ms:.1} ms <= {limit:.1} ms \
              (baseline {baseline:.1} ms x {MAX_REGRESSION_FACTOR})"
         );
     }

@@ -128,7 +128,6 @@ pub mod harness {
         eprintln!("             [--telemetry] [--trace-out=DIR] [--profile] [--journal=FILE]");
         eprintln!("             [--resume=FILE] [--resume-retry-failed] [--deadline-ms=N]");
         eprintln!("             [--backoff-ms=N] [--canonical] [--inject-faults=SEED]");
-        eprintln!("             [--lanes=N]");
         eprintln!("       (default scale: full; default workers: all hardware threads)");
         eprintln!("       --telemetry writes per-point Chrome traces + epoch metrics and");
         eprintln!("       runner self-profiling under results/telemetry/ (see TELEMETRY.md)");
@@ -138,8 +137,6 @@ pub mod harness {
         eprintln!("       (--resume-retry-failed re-attempts journaled failures), and");
         eprintln!("       --deadline-ms/--inject-faults add watchdogs and chaos testing");
         eprintln!("       (see ROBUSTNESS.md)");
-        eprintln!("       --lanes picks the lane-pack width for tape-sharing sweeps");
-        eprintln!("       (0 = auto, 1 = scalar path; see EXPERIMENTS.md)");
         std::process::exit(2);
     }
 

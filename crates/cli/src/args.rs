@@ -128,8 +128,6 @@ pub enum ServeArgs {
         out: String,
         /// Worker threads per sweep (`0` = auto).
         workers: usize,
-        /// Lane-pack width (`0` = auto).
-        lanes: usize,
         /// Retries per failing point.
         retries: u32,
         /// Maximum cached entries (`0` = unbounded).
@@ -369,8 +367,7 @@ fn parse_serve_args(args: &[String]) -> Result<ServeArgs, ParseArgsError> {
             let mut port = 7411u16;
             let mut cache = "results/serve/cache.wal".to_string();
             let mut out = "results/serve".to_string();
-            let (mut workers, mut lanes, mut retries, mut cache_max) =
-                (0usize, 0usize, 0u32, 0usize);
+            let (mut workers, mut retries, mut cache_max) = (0usize, 0u32, 0usize);
             let mut cache_ttl_secs = 0u64;
             let (mut submit_slots, mut admit_queue, mut conn_workers) = (2usize, 4usize, 0usize);
             let (mut read_timeout_ms, mut write_timeout_ms) = (60_000u64, 60_000u64);
@@ -387,8 +384,6 @@ fn parse_serve_args(args: &[String]) -> Result<ServeArgs, ParseArgsError> {
                     out = v.to_string();
                 } else if arg.starts_with("--workers") {
                     workers = parse_eq_u64(arg, "--workers")? as usize;
-                } else if arg.starts_with("--lanes") {
-                    lanes = parse_eq_u64(arg, "--lanes")? as usize;
                 } else if arg.starts_with("--retries") {
                     retries = parse_eq_u64(arg, "--retries")? as u32;
                 } else if arg.starts_with("--cache-max") {
@@ -422,7 +417,6 @@ fn parse_serve_args(args: &[String]) -> Result<ServeArgs, ParseArgsError> {
                 cache,
                 out,
                 workers,
-                lanes,
                 retries,
                 cache_max,
                 cache_ttl_secs,
@@ -664,7 +658,7 @@ INSPECT SUBCOMMANDS (see TELEMETRY.md, \"Profiling & inspection\"):
 
 SERVE SUBCOMMANDS (see SERVING.md):
     serve start [--port=N] [--cache=FILE] [--out=DIR] [--workers=N]
-                [--lanes=N] [--retries=N] [--cache-max=N]
+                [--retries=N] [--cache-max=N]
                 [--cache-ttl-secs=N] [--submit-slots=N] [--admit-queue=N]
                 [--conn-workers=N] [--read-timeout-ms=N]
                 [--write-timeout-ms=N] [--request-deadline-ms=N]
@@ -844,7 +838,7 @@ mod tests {
     #[test]
     fn serve_args_parse() {
         let cmd = parse(&argv(
-            "serve start --port=0 --cache=c.wal --out=o --workers=2 --lanes=1 \
+            "serve start --port=0 --cache=c.wal --out=o --workers=2 \
              --retries=3 --cache-max=10 --cache-ttl-secs=3600 --submit-slots=3 \
              --admit-queue=8 --conn-workers=12 --read-timeout-ms=5000 \
              --write-timeout-ms=4000 --request-deadline-ms=30000 \
@@ -858,7 +852,6 @@ mod tests {
                 cache: "c.wal".into(),
                 out: "o".into(),
                 workers: 2,
-                lanes: 1,
                 retries: 3,
                 cache_max: 10,
                 cache_ttl_secs: 3600,

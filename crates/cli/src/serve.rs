@@ -24,7 +24,6 @@ pub fn serve(args: &ServeArgs) -> i32 {
             cache,
             out,
             workers,
-            lanes,
             retries,
             cache_max,
             cache_ttl_secs,
@@ -45,7 +44,6 @@ pub fn serve(args: &ServeArgs) -> i32 {
                 cache_capacity: *cache_max,
                 cache_ttl_secs: *cache_ttl_secs,
                 workers: *workers,
-                lanes: *lanes,
                 retries: *retries,
                 submit_slots: *submit_slots,
                 admit_queue: *admit_queue,

@@ -68,7 +68,7 @@ OPTIONS:
     --master-seed <SEED>  campaign seed (default 0)
     --oracle <NAMES>      comma-separated subset of:
                           differential,predictor,invariants,telemetry,alloc,
-                          crash-recovery,profile,lane-stepper
+                          crash-recovery,profile,tape-replay
                           (repeatable; default: all)
     --corpus-dir <DIR>    repro archive directory (default fuzz/corpus)
     -h, --help            this text";

@@ -27,19 +27,19 @@
 //!    change the report, and the per-phase totals it collects must
 //!    reconcile exactly with the report's own cycle accounting
 //!    (decision overhead, migration, queue wait, throttle);
-//! 8. **lane-stepper** — replaying the case through the lane engine
-//!    ([`LaneStepper`]) at widths 1, 2, 4 and 8, co-resident with
-//!    policy/latency variants of itself (so lanes diverge in offload
-//!    decisions and rejoin on shared tape positions), must produce a
-//!    report byte-identical to the scalar [`Simulation::run`] for every
-//!    lane.
+//! 8. **tape-replay** — the case and policy/latency variants of itself
+//!    (which diverge in offload decisions over the same drawn stream),
+//!    run one after another through one [`TapeRegistry`] in both
+//!    orders, so later runs replay a tape an earlier run built and
+//!    extended, must each produce a report byte-identical to the live
+//!    [`Simulation::run`].
 
 use crate::case::FuzzCase;
 use crate::json;
 use osoffload_core::{AState, CamPredictor, ReferenceCamPredictor, RunLengthPredictor};
 use osoffload_obs::TelemetryMode;
 use osoffload_sim::alloc_audit;
-use osoffload_system::{LaneStepper, Phase, PolicyKind, SimReport, Simulation};
+use osoffload_system::{Phase, PolicyKind, SimReport, Simulation, TapeRegistry};
 use osoffload_workload::{Segment, ThreadWorkload};
 
 /// Which oracle to run.
@@ -61,10 +61,10 @@ pub enum OracleKind {
     /// Profiling-on vs profiling-off report identity, plus the profile's
     /// phase totals reconciling with the report's cycle accounting.
     Profile,
-    /// Lane-engine replay at widths 1/2/4/8, mixed with co-resident
-    /// variants, vs memoised scalar runs: every lane's report must be
-    /// byte-identical to [`Simulation::run`].
-    LaneStepper,
+    /// The case and its variants replayed through one shared tape, in
+    /// both orders: every report must be byte-identical to the live
+    /// [`Simulation::run`].
+    TapeReplay,
 }
 
 impl OracleKind {
@@ -77,7 +77,7 @@ impl OracleKind {
         OracleKind::Alloc,
         OracleKind::CrashRecovery,
         OracleKind::Profile,
-        OracleKind::LaneStepper,
+        OracleKind::TapeReplay,
     ];
 
     /// Stable CLI / corpus-file name.
@@ -90,7 +90,7 @@ impl OracleKind {
             OracleKind::Alloc => "alloc",
             OracleKind::CrashRecovery => "crash-recovery",
             OracleKind::Profile => "profile",
-            OracleKind::LaneStepper => "lane-stepper",
+            OracleKind::TapeReplay => "tape-replay",
         }
     }
 
@@ -192,7 +192,7 @@ pub fn check(case: &FuzzCase, oracle: OracleKind) -> Result<(), OracleFailure> {
             Ok(())
         }
         OracleKind::CrashRecovery => check_crash_recovery(case).map_err(fail),
-        OracleKind::LaneStepper => check_lane_stepper(case).map_err(fail),
+        OracleKind::TapeReplay => check_tape_replay(case).map_err(fail),
         OracleKind::Profile => {
             let base = Simulation::new(cfg.clone()).run();
             let mut prof_cfg = cfg.clone();
@@ -367,27 +367,27 @@ fn check_crash_recovery(case: &FuzzCase) -> Result<(), String> {
     result
 }
 
-/// Lane-engine differential check: the case and three co-resident
-/// variants of it (a different threshold, an always-offload lane, and a
-/// different migration latency — all [`tape_compatible`] with the
-/// original, none identical in behaviour) are packed into lanes at
-/// widths 1, 2, 4 and 8 and compared against memoised scalar runs.
-/// Mixing variants makes the lanes *diverge* (different offload
-/// decisions at the same tape position) and *rejoin* (identical drawn
-/// segments either side), which is exactly the sharing the tape replay
-/// must never let leak between lanes.
+/// Tape-replay differential check: the case and three variants of it
+/// (a different threshold, always-offload, and a different migration
+/// latency — all [`tape_compatible`] with the original, none identical
+/// in behaviour) run one after another through one [`TapeRegistry`],
+/// first in order and then in reverse, and are compared against live
+/// runs. The variants make different offload decisions over the same
+/// drawn stream, and every run after the first replays a tape that
+/// earlier runs built and extended — exactly the sharing that must
+/// never let one simulation's state leak into another's.
 ///
 /// [`tape_compatible`]: osoffload_system::tape_compatible
-fn check_lane_stepper(case: &FuzzCase) -> Result<(), String> {
-    // Clamp to oracle scale: the property under test is lane/scalar
+fn check_tape_replay(case: &FuzzCase) -> Result<(), String> {
+    // Clamp to oracle scale: the property under test is replay/live
     // identity, not simulation scale.
     let mut base = case.clone();
     base.instructions = base.instructions.clamp(2_000, 30_000);
     base.warmup = base.warmup.min(base.instructions / 4);
 
-    // Co-resident variants sharing the base case's workload shape.
-    // Variants that fail to lower (a policy the rest of the case
-    // rejects) are skipped; the base case itself must lower.
+    // Variants sharing the base case's workload shape. Variants that
+    // fail to lower (a policy the rest of the case rejects) are skipped;
+    // the base case itself must lower.
     let mut variant_cases = vec![base.clone()];
     variant_cases.push(FuzzCase {
         policy: crate::case::PolicySpec::Always,
@@ -408,26 +408,22 @@ fn check_lane_stepper(case: &FuzzCase) -> Result<(), String> {
         .filter_map(|c| c.to_config().ok())
         .collect();
 
-    // Memoised scalar references, one per variant, computed on first
-    // use (width 1 only ever needs the first).
-    let mut scalar: Vec<Option<SimReport>> = vec![None; variants.len()];
-    for width in [1usize, 2, 4, 8] {
-        let configs: Vec<_> = (0..width)
-            .map(|i| variants[i % variants.len()].clone())
-            .collect();
-        let reports = LaneStepper::new(configs)
-            .map_err(|e| format!("width {width}: stepper rejected configs: {e}"))?
+    let live: Vec<SimReport> = variants
+        .iter()
+        .map(|cfg| Simulation::new(cfg.clone()).run())
+        .collect();
+    let mut tapes = TapeRegistry::new();
+    let order = (0..variants.len()).chain((0..variants.len()).rev());
+    for (run, v) in order.enumerate() {
+        let report = tapes
+            .simulation(variants[v].clone())
+            .map_err(|e| format!("variant {v}: registry rejected config: {e}"))?
             .run();
-        for (lane, report) in reports.iter().enumerate() {
-            let v = lane % variants.len();
-            let reference =
-                scalar[v].get_or_insert_with(|| Simulation::new(variants[v].clone()).run());
-            if report != reference {
-                return Err(format!(
-                    "width {width}, lane {lane} (variant {v}) differs from scalar: {}",
-                    report_diff(report, reference)
-                ));
-            }
+        if report != live[v] {
+            return Err(format!(
+                "run {run} (variant {v}) differs from live: {}",
+                report_diff(&report, &live[v])
+            ));
         }
     }
     Ok(())

@@ -1,8 +1,19 @@
-//! Parallel plan executor: scoped worker threads pulling points (on the
-//! lane path, whole lane packs) off a shared index, with per-point
-//! panic isolation, watchdog deadlines, retry with deterministic
-//! backoff, fault injection, and a write-ahead results journal for
-//! crash-safe resume.
+//! Parallel plan executor: scoped worker threads pulling *runs* of
+//! same-shape points off a shared index, with per-point panic
+//! isolation, watchdog deadlines, retry with deterministic backoff,
+//! fault injection, and a write-ahead results journal for crash-safe
+//! resume.
+//!
+//! A run is up to four consecutive unserved points of one workload
+//! shape ([`tape_compatible`]), listed shape-major. Each worker thread
+//! keeps its own [`TapeRegistry`]; the points of a multi-point run
+//! build their simulations from it, so the shape's stream is generated once per worker and replayed by
+//! every point after the first. A run of one point has no one to share
+//! a tape with and draws live: recording a tape costs about as much per
+//! instruction as drawing live, so a tape pays only when replayed. Runs
+//! are claimed shape-major, so a worker never returns to a shape once
+//! it has moved past it, and the registry keeps only the latest shape's
+//! tape. Reports are bit-identical either way.
 
 use crate::fault::{FaultConfig, FaultPlan, InjectedPanic, PointFaults};
 use crate::journal::{self, Journal, JournalHeader};
@@ -10,7 +21,8 @@ use crate::plan::{ExperimentPlan, Point};
 use crate::progress::Progress;
 use crate::report::config_json;
 use osoffload_sim::{CancelToken, Cancelled, Rng64};
-use osoffload_system::{SimReport, Simulation};
+use osoffload_system::{tape_compatible, SimReport, Simulation, SystemConfig, TapeRegistry};
+use std::cell::RefCell;
 use std::io;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
@@ -68,15 +80,6 @@ pub struct RunnerOptions {
     pub fault_seed: Option<u64>,
     /// An explicit fault plan (takes precedence over `fault_seed`).
     pub fault_plan: Option<FaultPlan>,
-    /// Lane-pack width for the lane-parallel sweep engine: `0` = auto
-    /// (currently 4), `1` forces the scalar per-point path, `N > 1`
-    /// packs up to N tape-compatible points per [`LaneStepper`] run.
-    /// Reports are bit-identical either way; telemetry, profiling,
-    /// fault-injection, and deadline sweeps always take the scalar
-    /// path.
-    ///
-    /// [`LaneStepper`]: osoffload_system::LaneStepper
-    pub lanes: usize,
 }
 
 impl Default for RunnerOptions {
@@ -97,7 +100,6 @@ impl Default for RunnerOptions {
             canonical: false,
             fault_seed: None,
             fault_plan: None,
-            lanes: 0,
         }
     }
 }
@@ -110,8 +112,8 @@ impl RunnerOptions {
     /// `--out=DIR`, `--telemetry`, `--trace-out=DIR` (implies
     /// `--telemetry`), `--profile`, `--journal=FILE`, `--resume=FILE`,
     /// `--resume-retry-failed`, `--deadline-ms=N`, `--backoff-ms=N`,
-    /// `--canonical`, `--inject-faults=SEED`, and `--lanes=N` (0 =
-    /// auto). Malformed values abort with a message on stderr.
+    /// `--canonical`, and `--inject-faults=SEED`. Malformed values abort
+    /// with a message on stderr.
     pub fn parse_flags(args: &[String]) -> (RunnerOptions, Vec<String>) {
         let mut opts = RunnerOptions::default();
         let mut rest = Vec::new();
@@ -159,8 +161,6 @@ impl RunnerOptions {
                 opts.canonical = true;
             } else if let Some(v) = arg.strip_prefix("--inject-faults=") {
                 opts.fault_seed = Some(parse_u64("--inject-faults", v));
-            } else if let Some(v) = arg.strip_prefix("--lanes=") {
-                opts.lanes = parse_num("--lanes", v);
             } else {
                 rest.push(arg.clone());
             }
@@ -522,8 +522,8 @@ struct CachePadded<T>(T);
 
 #[cfg(test)]
 thread_local! {
-    /// Threads [`execute`] has spawned from this thread, so tests can
-    /// prove a fully served sweep spawns none.
+    /// Threads [`run_plan_ctx_hooked`] has spawned from this thread, so
+    /// tests can prove a fully served sweep spawns none.
     static SPAWNED: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
 }
 
@@ -561,10 +561,16 @@ impl std::fmt::Debug for ExecHooks<'_> {
     }
 }
 
-impl ExecHooks<'_> {
-    fn has_prefill(&self) -> bool {
-        self.prefill.iter().any(Option::is_some)
-    }
+/// Most points one claim hands a worker. Four captures nearly all of
+/// the tape-sharing win on the sweep grids: the per-worker registry
+/// already shares a tape across a shape's consecutive runs, so longer
+/// runs would only unbalance the workers' loads.
+const RUN_POINTS: usize = 4;
+
+thread_local! {
+    /// This worker's tape arena. Executor workers are scoped to one
+    /// sweep, so the arena never outlives it.
+    static TAPES: RefCell<TapeRegistry> = RefCell::new(TapeRegistry::new());
 }
 
 /// Per-attempt context handed to [`run_plan_ctx`] evaluators.
@@ -576,6 +582,48 @@ pub struct EvalCtx {
     /// outlives its deadline; install it into the simulation (see
     /// [`Simulation::with_cancel`]) so hung points can be reclaimed.
     pub cancel: CancelToken,
+    /// Whether the point's claimed run shares a tape.
+    replay: bool,
+}
+
+impl EvalCtx {
+    /// Builds the point's simulation of `cfg`: on the worker's shared
+    /// tape when the point's run has other points, else live. Either
+    /// way its report is bit-identical to `Simulation::new(cfg).run()`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `cfg` fails [`SystemConfig::validate`], as
+    /// [`Simulation::new`] does.
+    pub(crate) fn simulation(&self, cfg: SystemConfig) -> Simulation {
+        let sim = if self.replay {
+            TAPES.with(|tapes| tapes.borrow_mut().simulation(cfg))
+        } else {
+            Simulation::try_new(cfg)
+        };
+        sim.unwrap_or_else(|e| panic!("{e}"))
+    }
+}
+
+/// Groups the plan's unserved points into runs: up to [`RUN_POINTS`]
+/// consecutive points of one [`tape_compatible`] shape, in plan order
+/// within a shape, listed shape-major.
+fn runs(points: &[Point], unserved: impl Iterator<Item = usize>) -> Vec<Vec<usize>> {
+    // (representative index, member indices) per shape.
+    let mut shapes: Vec<(usize, Vec<usize>)> = Vec::new();
+    for i in unserved {
+        match shapes
+            .iter_mut()
+            .find(|(rep, _)| tape_compatible(&points[*rep].config, &points[i].config))
+        {
+            Some((_, members)) => members.push(i),
+            None => shapes.push((i, vec![i])),
+        }
+    }
+    shapes
+        .iter()
+        .flat_map(|(_, members)| members.chunks(RUN_POINTS).map(<[usize]>::to_vec))
+        .collect()
 }
 
 /// Executes `plan` with the default evaluator (simulate the point's
@@ -595,9 +643,7 @@ pub fn run_plan(plan: &ExperimentPlan, opts: &RunnerOptions) -> SweepResult {
 /// [`run_plan`] with embedding hooks: `hooks.prefill` rows are
 /// installed before any worker starts (those points are never
 /// evaluated), and `hooks.on_point` observes every row as it becomes
-/// final. Prefilled sweeps take the scalar path — lane packs would
-/// straddle already-served points — but rows are bit-identical either
-/// way, so a cached archive still compares bytes-equal to a lane run.
+/// final.
 pub fn run_plan_hooked(
     plan: &ExperimentPlan,
     opts: &RunnerOptions,
@@ -606,45 +652,26 @@ pub fn run_plan_hooked(
     // The cancellation token is only installed when a watchdog can
     // raise it, keeping deadline-free runs on the token-free path.
     let armed = opts.deadline_ms.is_some();
-    if !hooks.has_prefill() && crate::lane_exec::eligible(opts) {
-        // Lane path: workers claim whole lane packs (see `lane_exec`),
-        // each report bit-identical to the scalar evaluation below.
-        let points = plan.points();
-        let packs = crate::lane_exec::packs(points, crate::lane_exec::effective_lanes(opts));
-        return execute(
-            plan,
-            opts,
-            hooks,
-            Claims::Packs(&packs),
-            |members| crate::lane_exec::PackRun::new(points, members),
-            |p, _ctx, pack| pack.eval(p),
-        );
-    }
-    if !opts.telemetry && !opts.profile {
-        return run_plan_ctx_hooked(plan, opts, hooks, |p, ctx| {
-            let sim = Simulation::new(p.config.clone());
-            let sim = if armed {
-                sim.with_cancel(ctx.cancel.clone())
-            } else {
-                sim
-            };
-            sim.run()
-        });
-    }
+    let observed = opts.telemetry || opts.profile;
     let telemetry_dir = opts.telemetry_dir().join(plan.name());
     let profile_dir = opts.profile_dir().join(plan.name());
     run_plan_ctx_hooked(plan, opts, hooks, |p, ctx| {
         let mut cfg = p.config.clone();
-        if opts.telemetry {
-            cfg.telemetry = osoffload_obs::TelemetryMode::Full;
+        if observed {
+            if opts.telemetry {
+                cfg.telemetry = osoffload_obs::TelemetryMode::Full;
+            }
+            cfg.profiling = opts.profile;
         }
-        cfg.profiling = opts.profile;
-        let sim = Simulation::new(cfg);
+        let sim = ctx.simulation(cfg);
         let sim = if armed {
             sim.with_cancel(ctx.cancel.clone())
         } else {
             sim
         };
+        if !observed {
+            return sim.run();
+        }
         let (report, telemetry, profile) = sim.run_full_observed();
         if opts.telemetry {
             if let Err(e) = telemetry.write_files(&telemetry_dir, &sanitize_id(&p.id)) {
@@ -674,12 +701,12 @@ pub fn run_plan_with(
 
 /// Executes `plan` with a caller-supplied evaluator.
 ///
-/// Points are claimed from a shared atomic index by `opts.workers`
-/// scoped threads. A panicking evaluation is caught, retried up to
-/// `opts.retries` times (with exponential backoff and deterministic
-/// jitter between attempts), and finally recorded as
-/// [`Outcome::Failed`] — one bad point never aborts the sweep. Rows
-/// come back in plan order.
+/// Runs of same-shape points (see the [module docs](self)) are claimed
+/// from a shared atomic index by `opts.workers` scoped threads. A
+/// panicking evaluation is caught, retried up to `opts.retries` times
+/// (with exponential backoff and deterministic jitter between
+/// attempts), and finally recorded as [`Outcome::Failed`] — one bad
+/// point never aborts the sweep. Rows come back in plan order.
 ///
 /// With `opts.deadline_ms` set, a watchdog thread raises each attempt's
 /// [`EvalCtx::cancel`] token once the deadline passes; an attempt that
@@ -712,43 +739,8 @@ pub fn run_plan_ctx_hooked(
     hooks: ExecHooks<'_>,
     eval: impl Fn(&Point, &EvalCtx) -> SimReport + Sync,
 ) -> SweepResult {
-    execute(
-        plan,
-        opts,
-        hooks,
-        Claims::Points,
-        |_| (),
-        |p, ctx, _| eval(p, ctx),
-    )
-}
-
-/// What one fetch from the workers' shared claim index hands out.
-enum Claims<'a> {
-    /// One point.
-    Points,
-    /// One pack: a list of member point indices.
-    Packs(&'a [Vec<usize>]),
-}
-
-/// The executor behind every `run_plan*` entry point. A worker claims
-/// a unit of `claims`, calls `open` once with the unit's still-unserved
-/// members to build its per-claim state, then runs each member through
-/// the per-point body (retries, journal, `on_point`, progress) with
-/// `eval` seeing that state.
-fn execute<S>(
-    plan: &ExperimentPlan,
-    opts: &RunnerOptions,
-    hooks: ExecHooks<'_>,
-    claims: Claims<'_>,
-    open: impl Fn(&[usize]) -> S + Sync,
-    eval: impl Fn(&Point, &EvalCtx, &S) -> SimReport + Sync,
-) -> SweepResult {
     let points = plan.points();
     let n = points.len();
-    let units = match claims {
-        Claims::Points => n,
-        Claims::Packs(packs) => packs.len(),
-    };
     let workers = opts.effective_workers(n);
     let deadline = opts.deadline_ms;
 
@@ -877,6 +869,10 @@ fn execute<S>(
         }
     }
 
+    let runs = runs(
+        points,
+        (0..n).filter(|&i| slots[i].get_mut().expect("result slot poisoned").is_none()),
+    );
     let next = CachePadded(AtomicUsize::new(0));
     let start = Instant::now();
     // One arm slot per worker: the attempt's start time and its token,
@@ -924,8 +920,7 @@ fn execute<S>(
             let slots = &slots;
             let progress = &progress;
             let eval = &eval;
-            let open = &open;
-            let claims = &claims;
+            let runs = &runs;
             let fault_plan = &fault_plan;
             let journal_writer = &journal_writer;
             let on_point = &on_point;
@@ -935,26 +930,9 @@ fn execute<S>(
             #[cfg(test)]
             SPAWNED.with(|c| c.set(c.get() + 1));
             scope.spawn(move || {
-                loop {
-                    let u = next.0.fetch_add(1, Ordering::Relaxed);
-                    if u >= units {
-                        break;
-                    }
-                    let members = match claims {
-                        Claims::Points => std::slice::from_ref(&u),
-                        Claims::Packs(packs) => &packs[u][..],
-                    };
-                    // Journal-restored and prefilled points are already served.
-                    let todo: Vec<usize> = members
-                        .iter()
-                        .copied()
-                        .filter(|&i| slots[i].lock().expect("result slot poisoned").is_none())
-                        .collect();
-                    if todo.is_empty() {
-                        continue;
-                    }
-                    let state = open(&todo);
-                    for &i in &todo {
+                while let Some(run) = runs.get(next.0.fetch_add(1, Ordering::Relaxed)) {
+                    let replay = run.len() > 1;
+                    for &i in run {
                         let point = &points[i];
                         let faults: PointFaults = fault_plan
                             .as_ref()
@@ -985,6 +963,7 @@ fn execute<S>(
                             let ctx = EvalCtx {
                                 attempt: attempts,
                                 cancel: token,
+                                replay,
                             };
                             let injected_delay = if attempts == 1 { faults.delay_ms } else { None };
                             let inject_panic = attempts <= faults.panics;
@@ -998,7 +977,7 @@ fn execute<S>(
                                         attempt: attempts,
                                     });
                                 }
-                                eval(point, &ctx, &state)
+                                eval(point, &ctx)
                             }));
                             if deadline.is_some() {
                                 *watch[worker].0.lock().expect("watch slot poisoned") = None;
@@ -1007,6 +986,10 @@ fn execute<S>(
                             match result {
                                 Ok(report) => break Outcome::Ok(Box::new(report)),
                                 Err(payload) => {
+                                    // The unwind may have left this
+                                    // worker's tape half-extended; no
+                                    // later attempt may replay it.
+                                    TAPES.with(|tapes| *tapes.borrow_mut() = TapeRegistry::new());
                                     let timed_out = payload.downcast_ref::<Cancelled>().is_some();
                                     if attempts > opts.retries {
                                         break if timed_out {
@@ -1178,56 +1161,11 @@ mod tests {
         assert_eq!(a, b);
     }
 
-    #[test]
-    fn lane_path_rows_match_scalar_path() {
-        // Real simulations, two shapes (seeds), mixed policies: the
-        // lane path must reproduce the scalar rows bit-for-bit.
-        let mut plan = ExperimentPlan::new("lane-int", 5);
-        for (i, (threshold, seed)) in [(100u64, 1u64), (5_000, 2), (900, 1), (100, 2)]
-            .iter()
-            .enumerate()
-        {
-            plan.push_pinned(
-                format!("p{i}"),
-                SystemConfig::builder()
-                    .profile(Profile::apache())
-                    .policy(PolicyKind::HardwarePredictor {
-                        threshold: *threshold,
-                    })
-                    .instructions(20_000)
-                    .warmup(5_000)
-                    .seed(*seed)
-                    .build(),
-            );
-        }
-        let quiet = RunnerOptions {
-            quiet: true,
-            workers: 2,
-            canonical: true,
-            ..RunnerOptions::default()
-        };
-        let scalar = run_plan(
-            &plan,
-            &RunnerOptions {
-                lanes: 1,
-                ..quiet.clone()
-            },
-        );
-        let lanes = run_plan(&plan, &RunnerOptions { lanes: 4, ..quiet });
-        assert_eq!(scalar.failures().count(), 0);
-        assert_eq!(lanes.failures().count(), 0);
-        let a: Vec<String> = scalar.rows.iter().map(|r| r.row_json()).collect();
-        let b: Vec<String> = lanes.rows.iter().map(|r| r.row_json()).collect();
-        assert_eq!(a, b);
-    }
-
-    #[test]
-    fn lane_packs_are_claimed_whole_by_one_worker() {
-        // 2 shapes x 8 points, shapes interleaved in plan order: each
-        // pack's rows must come from a single worker, and the rows
-        // must equal the scalar path's.
-        let mut plan = ExperimentPlan::new("lane-claims", 6);
-        for i in 0..16u64 {
+    /// Real simulations: two 8-point shapes interleaved in plan order
+    /// plus two singleton shapes, mixed thresholds.
+    fn shaped_plan() -> ExperimentPlan {
+        let mut plan = ExperimentPlan::new("shape-runs", 6);
+        for i in 0..18u64 {
             plan.push_pinned(
                 format!("p{i}"),
                 SystemConfig::builder()
@@ -1237,29 +1175,135 @@ mod tests {
                     })
                     .instructions(20_000)
                     .warmup(5_000)
-                    .seed(1 + i % 2)
+                    .seed(if i < 16 { 1 + i % 2 } else { i })
                     .build(),
             );
         }
+        plan
+    }
+
+    #[test]
+    fn shape_runs_are_claimed_whole_and_rows_equal_direct_runs() {
+        let plan = shaped_plan();
+        let points = plan.points();
+        let runs = runs(points, 0..points.len());
+        // Shape-major, chunked by RUN_POINTS, singletons alone.
+        assert_eq!(
+            runs,
+            vec![
+                vec![0, 2, 4, 6],
+                vec![8, 10, 12, 14],
+                vec![1, 3, 5, 7],
+                vec![9, 11, 13, 15],
+                vec![16],
+                vec![17],
+            ]
+        );
         let opts = RunnerOptions {
             quiet: true,
             workers: 2,
-            lanes: 4,
             ..RunnerOptions::default()
         };
-        let lanes = run_plan(&plan, &opts);
-        let scalar = run_plan(&plan, &RunnerOptions { lanes: 1, ..opts });
-        assert_eq!(lanes.failures().count(), 0);
-        let packs = crate::lane_exec::packs(plan.points(), 4);
-        assert_eq!(packs.len(), 4);
-        for pack in &packs {
-            let worker = lanes.rows[pack[0]].worker;
-            for &i in pack {
-                assert_eq!(lanes.rows[i].worker, worker, "pack {pack:?} split");
+        let sweep = run_plan(&plan, &opts);
+        assert_eq!(sweep.failures().count(), 0);
+        for run in &runs {
+            let worker = sweep.rows[run[0]].worker;
+            for &i in run {
+                assert_eq!(sweep.rows[i].worker, worker, "run {run:?} split");
             }
         }
-        let a: Vec<String> = scalar.rows.iter().map(|r| r.stable_json()).collect();
-        let b: Vec<String> = lanes.rows.iter().map(|r| r.stable_json()).collect();
+        for (row, p) in sweep.rows.iter().zip(points) {
+            match &row.outcome {
+                Outcome::Ok(r) => assert_eq!(**r, Simulation::new(p.config.clone()).run()),
+                other => panic!("{}: {other:?}", p.id),
+            }
+        }
+        // Only multi-point runs replay a tape; singleton shapes draw
+        // live and build none.
+        let replayed = Mutex::new(vec![None; points.len()]);
+        run_plan_ctx(&plan, &opts, |p, ctx| {
+            replayed.lock().unwrap()[p.index] = Some(ctx.replay);
+            ctx.simulation(p.config.clone()).run()
+        });
+        let replayed: Vec<Option<bool>> = replayed.into_inner().unwrap();
+        let expected: Vec<Option<bool>> = (0..points.len()).map(|i| Some(i < 16)).collect();
+        assert_eq!(replayed, expected);
+    }
+
+    #[test]
+    fn rows_are_identical_across_worker_counts_on_shared_tapes() {
+        let plan = shaped_plan();
+        let opts = |workers| RunnerOptions {
+            quiet: true,
+            workers,
+            canonical: true,
+            ..RunnerOptions::default()
+        };
+        let one = run_plan(&plan, &opts(1));
+        let two = run_plan(&plan, &opts(2));
+        assert_eq!(one.to_json(), two.to_json());
+    }
+
+    #[test]
+    fn injected_panics_and_timeouts_inside_runs_leave_rows_unchanged() {
+        // Every attempt that unwinds — an injected panic before the
+        // simulation, or a watchdog cancel mid-replay after an injected
+        // delay — must leave the retried rows equal to a clean run's.
+        let plan = shaped_plan();
+        let n = plan.len();
+        let faults = FaultPlan::derive(
+            11,
+            n,
+            &FaultConfig {
+                panic_pct: 40,
+                max_panics: 2,
+                delay_pct: 40,
+                max_delay_ms: 600,
+                io_pct: 0,
+                max_io_failures: 0,
+            },
+        );
+        let deadline_ms = 150;
+        let multi = |i: usize| i < 16;
+        assert!(
+            (0..n).any(|i| multi(i) && faults.point(i).panics > 0),
+            "the plan panics a run member"
+        );
+        // An injected panic preempts the attempt its delay precedes, so
+        // only a delayed point without panics times out.
+        let times_out = |i: usize| {
+            let f = faults.point(i);
+            f.panics == 0 && f.delay_ms > Some(2 * deadline_ms)
+        };
+        assert!(
+            (0..n).any(|i| multi(i) && times_out(i)),
+            "the plan times out a run member"
+        );
+        let opts = RunnerOptions {
+            quiet: true,
+            workers: 2,
+            retries: 3,
+            backoff_ms: 0,
+            canonical: true,
+            ..RunnerOptions::default()
+        };
+        let clean = run_plan(&plan, &opts);
+        let faulty = run_plan(
+            &plan,
+            &RunnerOptions {
+                fault_plan: Some(faults.clone()),
+                deadline_ms: Some(deadline_ms),
+                ..opts
+            },
+        );
+        assert_eq!(faulty.failures().count(), 0);
+        for (i, row) in faulty.rows.iter().enumerate() {
+            if faults.point(i).panics > 0 || times_out(i) {
+                assert!(row.attempts > 1, "point {i} was retried");
+            }
+        }
+        let a: Vec<String> = clean.rows.iter().map(|r| r.stable_json()).collect();
+        let b: Vec<String> = faulty.rows.iter().map(|r| r.stable_json()).collect();
         assert_eq!(a, b);
     }
 
@@ -1337,7 +1381,6 @@ mod tests {
             "--inject-faults=99",
             "--profile",
             "--resume-retry-failed",
-            "--lanes=3",
         ]
         .iter()
         .map(|s| s.to_string())
@@ -1361,7 +1404,6 @@ mod tests {
         assert!(opts.profile);
         assert_eq!(opts.profile_dir(), std::path::PathBuf::from("tmp/profile"));
         assert!(opts.resume_retry_failed);
-        assert_eq!(opts.lanes, 3);
         assert_eq!(rest, vec!["quick".to_string()]);
     }
 

@@ -51,7 +51,6 @@ pub mod executor;
 pub mod fault;
 pub mod journal;
 pub mod jsonv;
-mod lane_exec;
 pub mod plan;
 mod progress;
 pub mod report;

@@ -19,7 +19,10 @@
 //!   starts), and a final `done` event carrying hit/miss totals and the
 //!   archive path. A fully cached submission spawns no runner thread,
 //!   and an archive that already holds the rendered bytes is synced in
-//!   place rather than rewritten.
+//!   place rather than rewritten. The misses run on the runner's one
+//!   path: misses that share a workload shape replay one tape per
+//!   runner worker, and a miss whose shape no other miss shares draws
+//!   live.
 //!
 //! # Concurrency and admission control
 //!
@@ -101,9 +104,6 @@ pub struct ServeOptions {
     pub cache_ttl_secs: u64,
     /// Worker threads per sweep (`0` = one per hardware thread).
     pub workers: usize,
-    /// Lane-pack width (`0` = auto; only used for sweeps with no cached
-    /// points, since lane packs would straddle served rows).
-    pub lanes: usize,
     /// Retries per failing point.
     pub retries: u32,
     /// Fault-injection seed (chaos testing; see `ROBUSTNESS.md`).
@@ -139,7 +139,6 @@ impl Default for ServeOptions {
             cache_capacity: 0,
             cache_ttl_secs: 0,
             workers: 0,
-            lanes: 0,
             retries: 0,
             fault_seed: None,
             submit_slots: 2,
@@ -859,7 +858,6 @@ fn handle_submit(
 
     let ropts = RunnerOptions {
         workers: opts.workers,
-        lanes: opts.lanes,
         retries: opts.retries,
         quiet: true,
         canonical: true,

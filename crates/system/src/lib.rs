@@ -27,19 +27,19 @@
 
 pub mod config;
 pub mod experiments;
-pub mod lanes;
 pub mod metrics;
 pub mod migration;
 pub mod profile;
+pub mod replay;
 pub mod simulation;
 pub mod topology;
 pub mod trace;
 
 pub use config::{ConfigError, PolicyKind, SystemConfig, SystemConfigBuilder};
-pub use lanes::{run_lanes, tape_compatible, LaneStepper, TapeRegistry};
 pub use metrics::{BinaryPoint, CycleBreakdown, PredictorReport, QueueReport, SimReport};
 pub use migration::{MigrationModel, OffloadMechanism, OsCoreQueue};
 pub use profile::{CycleProfile, Phase, ProfileEntry, ProfileEpoch};
+pub use replay::{tape_compatible, TapeRegistry};
 pub use simulation::Simulation;
 pub use topology::{DispatchPolicy, OsCorePool, OsDispatch, OsToken, Topology};
 pub use trace::{InvocationRecord, InvocationTrace};

@@ -43,15 +43,15 @@ use osoffload_workload::{
     InstrSpec, OsInvocation, Segment, SharedTape, TapeCursor, TapedInstr, ThreadWorkload,
 };
 
-/// Where a thread's draw stream comes from: a live generator (the
-/// scalar path) or a cursor into a shared [`WorkloadTape`]
-/// (the lane path, where K co-resident simulations replay one
-/// generation). Both produce bit-identical streams; see
-/// [`osoffload_workload::tape`].
+/// Where a thread's draw stream comes from: a live generator or a
+/// cursor into a [`WorkloadTape`] that same-shape simulations share
+/// (built through a [`TapeRegistry`](crate::TapeRegistry), so the
+/// stream is generated once and replayed by each). Both produce
+/// bit-identical streams; see [`osoffload_workload::tape`].
 ///
 /// [`WorkloadTape`]: osoffload_workload::WorkloadTape
 // Boxing the live generator would put a pointer chase on every draw in
-// the scalar hot loop; the enum lives in a per-thread Vec sized at
+// the live hot loop; the enum lives in a per-thread Vec sized at
 // construction, so the size skew costs nothing.
 #[allow(clippy::large_enum_variant)]
 enum DrawSource {
@@ -88,14 +88,6 @@ impl DrawSource {
         match self {
             DrawSource::Live(_) => None,
             DrawSource::Tape(c) => Some((c.tape().clone(), c.span())),
-        }
-    }
-
-    /// Tape consumption depth (0 for live sources).
-    fn depth(&self) -> usize {
-        match self {
-            DrawSource::Live(_) => 0,
-            DrawSource::Tape(c) => c.depth(),
         }
     }
 }
@@ -236,10 +228,36 @@ impl Simulation {
     /// Builds a validated simulation whose threads replay `tape`
     /// instead of generating live. The tape must have been built for
     /// this configuration's (profile, phases, thread-count, seed)
-    /// shape; [`LaneStepper`](crate::lanes::LaneStepper) guarantees
-    /// that by keying tapes on exactly those fields.
+    /// shape; [`TapeRegistry`](crate::TapeRegistry), the only caller,
+    /// guarantees that by keying tapes on exactly those fields.
+    ///
+    /// Each thread's stream is materialised up front to the run's whole
+    /// budget (a thread consumes at most `warmup + instructions`, give
+    /// or take the segments that overshoot each region's target, which
+    /// the extension after warm-up covers), so generation is one
+    /// contiguous pass here instead of being interleaved a segment at a
+    /// time with warm-up replay.
     pub(crate) fn build_on_tape(cfg: SystemConfig, tape: SharedTape) -> Self {
-        Self::build_with_source(cfg, Some(tape))
+        let budget = cfg.warmup + cfg.instructions;
+        let sim = Self::build_with_source(cfg, Some(tape));
+        sim.extend_tapes(budget);
+        sim
+    }
+
+    /// Materialises every tape-backed thread's stream whole segments
+    /// past `budget` more instructions from its cursor. A thread
+    /// fetches a new segment only while the run is short of its target,
+    /// and its consumption is bounded by total retirement, so after this
+    /// call replay of up to `budget` retirements never grows a tape
+    /// array. No-op for live sources.
+    fn extend_tapes(&self, budget: u64) {
+        for (t, ctx) in self.threads.iter().enumerate() {
+            if let DrawSource::Tape(c) = &ctx.src {
+                c.tape()
+                    .borrow_mut()
+                    .extend_to(t, c.depth() + budget as usize);
+            }
+        }
     }
 
     fn build_with_source(cfg: SystemConfig, tape: Option<SharedTape>) -> Self {
@@ -366,6 +384,8 @@ impl Simulation {
             self.execute(Instret::new(self.cfg.warmup));
         }
         let measured_start = self.begin_measured();
+        // Replay inside the audited region must never grow the tape.
+        self.extend_tapes(self.cfg.instructions);
         alloc_audit::region_enter();
         self.execute(Instret::new(self.cfg.instructions));
         alloc_audit::region_exit();
@@ -376,10 +396,8 @@ impl Simulation {
     /// privileged fraction, resets statistics, rebuilds the trace,
     /// arms the tuner and observation, and returns the cycle the
     /// measured region starts at. All allocating setup happens here,
-    /// *before* the caller enters the allocation-audited region — the
-    /// lane stepper relies on that split to run one audited region
-    /// across many co-resident simulations.
-    pub(crate) fn begin_measured(&mut self) -> Cycle {
+    /// *before* the caller enters the allocation-audited region.
+    fn begin_measured(&mut self) -> Cycle {
         let warmup_priv_frac = if self.retired_total > Instret::ZERO {
             self.retired_priv.as_f64() / self.retired_total.as_f64()
         } else {
@@ -499,34 +517,13 @@ impl Simulation {
     }
 
     /// Advances the lowest-clock thread by exactly one segment (a user
-    /// burst or a whole privileged invocation) — the quantum the lane
-    /// stepper interleaves across co-resident simulations.
-    pub(crate) fn step_segment(&mut self) {
+    /// burst or a whole privileged invocation).
+    fn step_segment(&mut self) {
         let t = self.next_thread();
         match self.threads[t].src.next_segment() {
             Segment::User { len } => self.run_user_burst(t, len),
             Segment::Os(inv) => self.run_invocation(t, inv),
         }
-    }
-
-    /// Instructions retired since the last statistics reset.
-    pub(crate) fn retired(&self) -> Instret {
-        self.retired_total
-    }
-
-    /// Thread `t`'s tape consumption depth (the spec index one past
-    /// its cursor's current segment; 0 for live sources). Used by the
-    /// lane stepper to size the pre-extension that keeps the measured
-    /// region allocation-free.
-    pub(crate) fn tape_depth(&self, t: usize) -> usize {
-        self.threads[t].src.depth()
-    }
-
-    /// Finalises a lane: builds the report for a measured region that
-    /// started at `measured_start` (as returned by
-    /// [`begin_measured`](Self::begin_measured)).
-    pub(crate) fn finish(self, measured_start: Cycle) -> SimReport {
-        self.build_report(measured_start)
     }
 
     fn next_thread(&self) -> usize {
@@ -571,7 +568,7 @@ impl Simulation {
         let l1_latency = self.l1_latency;
         let mut elapsed = 0u64;
         let (mut acc_tlb, mut acc_fetch, mut acc_data, mut acc_branch) = (0u64, 0u64, 0u64, 0u64);
-        // On the lane path the whole segment is already materialised in
+        // On a tape source the whole segment is already materialised in
         // the shared tape: borrow it once and walk the contiguous spec
         // slice, instead of paying a shared-state access per
         // instruction. Live sources draw per instruction as before.
@@ -1575,6 +1572,32 @@ mod tests {
         assert!(collapsed.contains("user;user-exec "), "{collapsed}");
         assert!(!p.top_table(5).is_empty());
         assert!(!p.epochs().is_empty());
+    }
+
+    #[test]
+    fn observed_runs_on_a_shared_tape_equal_live_runs() {
+        use osoffload_obs::TelemetryMode;
+        // Two same-shape points through one registry: the second
+        // replays the tape the first built and extended.
+        let mut tapes = crate::TapeRegistry::new();
+        for latency in [1_000, 100] {
+            let mut cfg = small(PolicyKind::HardwarePredictor { threshold: 500 }, latency);
+            cfg.telemetry = TelemetryMode::Full;
+            cfg.profiling = true;
+            let (live, live_tel, live_prof) = Simulation::new(cfg.clone()).run_full_observed();
+            let (taped, taped_tel, taped_prof) = tapes
+                .simulation(cfg)
+                .expect("valid config")
+                .run_full_observed();
+            assert!(!live_tel.events.is_empty() && !live_prof.entries().is_empty());
+            assert_eq!(taped, live, "latency {latency}: report");
+            assert_eq!(taped_tel.events, live_tel.events, "latency {latency}");
+            assert_eq!(taped_tel.events_seen, live_tel.events_seen);
+            assert_eq!(taped_tel.chrome_trace(), live_tel.chrome_trace());
+            assert_eq!(taped_tel.metrics_json(), live_tel.metrics_json());
+            assert_eq!(taped_prof.to_collapsed(), live_prof.to_collapsed());
+            assert_eq!(taped_prof.top_table(64), live_prof.top_table(64));
+        }
     }
 
     #[test]

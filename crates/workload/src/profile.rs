@@ -30,8 +30,8 @@ pub enum ProfileKind {
 
 /// A complete statistical description of one benchmark.
 ///
-/// `PartialEq` compares every calibrated parameter; the lane engine
-/// uses it to decide when two configurations draw identical workload
+/// `PartialEq` compares every calibrated parameter; tape replay uses
+/// it to decide when two configurations draw identical workload
 /// streams and may share one generation tape.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Profile {

@@ -1,5 +1,5 @@
 //! Shared workload tapes: generate each thread's draw stream once,
-//! replay it across many co-resident simulations.
+//! replay it in every simulation of the same workload shape.
 //!
 //! A thread's segment/instruction stream depends only on the profile,
 //! the phase schedule, the thread's index, and the master seed — never
@@ -14,10 +14,19 @@
 //! it owns one master [`ThreadWorkload`] per thread — constructed with
 //! the exact seed-splitting sequence the simulator uses — and
 //! materialises segments plus their [`InstrSpec`]s into contiguous
-//! per-thread arrays on demand. Each lane of a lane-parallel sweep then
-//! reads through its own [`TapeCursor`], so K lanes pay the (dominant)
+//! per-thread arrays on demand. Each simulation that shares the tape
+//! then reads through its own [`TapeCursor`], so K simulations pay the
 //! generation cost once instead of K times, and replay is a cache-
 //! friendly linear scan instead of a chain of RNG and sampler draws.
+//!
+//! Recording is not free: materialising a record costs about as much as
+//! drawing the instruction live (on a 2-vCPU host, about 47 ns per taped
+//! instruction against 45.7 ns per live draw; replay is 6.6 ns). A tape
+//! therefore pays only when it is replayed more than once, and a
+//! simulation whose shape no other simulation shares should draw live.
+//! `osoffload_system::TapeRegistry` is the only way a simulation gets a
+//! tape, and the runner uses it only for runs of two or more same-shape
+//! points.
 //!
 //! Replay is bit-identical by construction: the tape's masters perform
 //! the same calls, in the same per-thread order, as a live simulation
@@ -39,12 +48,12 @@ const META_TAKEN: u8 = 1 << 3;
 
 /// On-tape encoding of one [`InstrSpec`]: 17 bytes instead of 32.
 ///
-/// Replay streams tens of megabytes per lane, so the tape stores each
-/// instruction packed — the two `Option`s collapse into flag bits and
-/// the padding disappears — and the hot loop unpacks with a couple of
-/// selects. That roughly halves the bytes pulled through the cache per
-/// replayed instruction, which is where a lane's time goes once
-/// generation is amortised.
+/// Replay streams tens of megabytes per simulation, so the tape stores
+/// each instruction packed — the two `Option`s collapse into flag bits
+/// and the padding disappears — and the hot loop unpacks with a couple
+/// of selects. That roughly halves the bytes pulled through the cache
+/// per replayed instruction, which is where a replaying simulation's
+/// time goes once generation is amortised.
 #[derive(Clone, Copy)]
 #[repr(C, packed)]
 pub struct TapedInstr {
@@ -174,7 +183,7 @@ impl WorkloadTape {
         WorkloadTape { threads }
     }
 
-    /// Wraps the tape for sharing across lanes.
+    /// Wraps the tape for sharing across simulations.
     pub fn into_shared(self) -> SharedTape {
         Rc::new(RefCell::new(self))
     }
@@ -192,7 +201,7 @@ impl WorkloadTape {
     /// Materialises thread `t` until at least `min_specs` instruction
     /// specs exist (whole segments at a time, so the final segment may
     /// overshoot). Called before an allocation-audited region so every
-    /// segment a lane can legally request already exists and cursor
+    /// segment a simulation can legally request already exists and cursor
     /// reads never grow the arrays.
     pub fn extend_to(&mut self, t: usize, min_specs: usize) {
         let tape = &mut self.threads[t];
@@ -237,10 +246,10 @@ impl WorkloadTape {
     }
 }
 
-/// A tape shared by the lanes of one pack.
+/// A tape shared by the simulations of one workload shape.
 pub type SharedTape = Rc<RefCell<WorkloadTape>>;
 
-/// One lane's read position into one thread's stream.
+/// One simulation's read position into one thread's stream.
 ///
 /// Presents the same three-call surface as a live [`ThreadWorkload`]
 /// (`next_segment`, then that segment's instructions by index), backed

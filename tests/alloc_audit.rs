@@ -47,14 +47,13 @@ fn run_and_count(cfg: SystemConfig) -> u64 {
     alloc_audit::take_region_allocs()
 }
 
-#[test]
-fn measured_region_is_allocation_free() {
-    // Exercise every hot-path branch in one sweep: local execution,
-    // thread-migration off-load through the predictor, the remote-call
-    // mechanism, and resource adaptation. Phase-change configs are
-    // excluded by design: rebuilding the workload mix at a phase
-    // boundary is construction work, not inner-loop work.
-    let cases = [
+/// Every hot-path branch in one sweep: local execution,
+/// thread-migration off-load through the predictor, the remote-call
+/// mechanism, and resource adaptation. Phase-change configs are
+/// excluded by design: rebuilding the workload mix at a phase boundary
+/// is construction work, not inner-loop work.
+fn hot_path_cases() -> [(&'static str, SystemConfig); 4] {
+    [
         (
             "baseline_local",
             SystemConfig::builder()
@@ -100,8 +99,12 @@ fn measured_region_is_allocation_free() {
                 .seed(0xBEE5)
                 .build(),
         ),
-    ];
-    for (name, cfg) in cases {
+    ]
+}
+
+#[test]
+fn measured_region_is_allocation_free() {
+    for (name, cfg) in hot_path_cases() {
         let allocs = run_and_count(cfg);
         assert_eq!(
             allocs, 0,
@@ -111,13 +114,16 @@ fn measured_region_is_allocation_free() {
 }
 
 #[test]
-fn lane_measured_region_is_allocation_free() {
-    use osoffload::system::run_lanes;
-    // A pack of tape-compatible configurations (shared seed/profile,
-    // different thresholds and latencies) at every supported width. The
-    // lane stepper materialises the shared tape past the deepest
-    // reachable position before entering its single audited region, so
-    // replay at any width must never touch the heap mid-measurement.
+fn tape_replay_measured_region_is_allocation_free() {
+    use osoffload::system::TapeRegistry;
+    // Tape-compatible configurations (shared seed/profile, different
+    // thresholds and latencies) run back to back through one registry,
+    // twice over, so later runs replay a tape earlier runs built and
+    // extended; then single-threaded compute profiles and the hot-path
+    // cases above, each on its own tape. Each simulation materialises
+    // the shared tape past the deepest position it can reach before
+    // entering its audited region, so replay must never touch the heap
+    // mid-measurement.
     let member = |threshold: u64, latency: u64| {
         SystemConfig::builder()
             .profile(Profile::apache())
@@ -134,20 +140,34 @@ fn lane_measured_region_is_allocation_free() {
         member(1_000, 5_000),
         member(5_000, 100),
     ];
-    for width in [1usize, 2, 4, 8] {
-        let configs: Vec<SystemConfig> = (0..width)
-            .map(|i| variants[i % variants.len()].clone())
-            .collect();
-        let _ = alloc_audit::take_region_allocs();
-        let reports = run_lanes(&configs, width).expect("pack configs are valid");
-        assert!(
-            reports.iter().all(|r| r.throughput() > 0.0),
-            "lanes must make progress"
-        );
-        let allocs = alloc_audit::take_region_allocs();
-        assert_eq!(
-            allocs, 0,
-            "width {width}: lane measured region allocated {allocs} times"
-        );
+    // One thread per core: a single thread retires every instruction,
+    // so its tape depth reaches the whole budget plus each region's
+    // overshoot of its target by the last segment.
+    let single_thread: Vec<SystemConfig> = Profile::all_compute()
+        .into_iter()
+        .map(|profile| SystemConfig {
+            profile,
+            ..member(500, 1_000)
+        })
+        .collect();
+    let hot_paths = hot_path_cases().map(|(_, cfg)| cfg);
+    let mut tapes = TapeRegistry::new();
+    for round in 0..2 {
+        for (i, cfg) in variants
+            .iter()
+            .chain(&single_thread)
+            .chain(&hot_paths)
+            .enumerate()
+        {
+            let sim = tapes.simulation(cfg.clone()).expect("configs are valid");
+            let _ = alloc_audit::take_region_allocs();
+            let report = sim.run();
+            assert!(report.throughput() > 0.0, "replay must make progress");
+            let allocs = alloc_audit::take_region_allocs();
+            assert_eq!(
+                allocs, 0,
+                "round {round}, variant {i}: replayed measured region allocated {allocs} times"
+            );
+        }
     }
 }

@@ -152,30 +152,34 @@ fn configs(seed: u64) -> Vec<(&'static str, SystemConfig)> {
     ]
 }
 
-/// The lane engine against the scalar stepper, over the same
-/// eleven-configuration x three-seed matrix. Scalar references are
-/// computed once per (configuration, seed); the lane side re-runs the
-/// whole matrix at widths 1, 4 and 8, chunked into mixed-shape packs by
-/// `run_lanes`, and every report must be bit-identical.
+/// Tape replay against the live stepper, over the same
+/// eleven-configuration x three-seed matrix. Live references are
+/// computed once per (configuration, seed); the replay side runs the
+/// whole matrix through one shared `TapeRegistry` twice, in order and
+/// then in reverse, so shapes alternate, same-shape configurations
+/// replay a tape an earlier one built and extended, and every report
+/// must be bit-identical.
 #[test]
-fn lane_stepper_is_bit_identical_to_scalar() {
-    use osoffload::system::run_lanes;
+fn tape_replay_is_bit_identical_to_scalar() {
+    use osoffload::system::TapeRegistry;
     for seed in SEEDS {
         let named = configs(seed);
-        let scalar: Vec<_> = named
+        let live: Vec<_> = named
             .iter()
             .map(|(_, cfg)| Simulation::new(cfg.clone()).run())
             .collect();
-        let pack: Vec<SystemConfig> = named.iter().map(|(_, cfg)| cfg.clone()).collect();
-        for lanes in [1usize, 4, 8] {
-            let reports = run_lanes(&pack, lanes).expect("matrix configs are valid");
-            for (((name, _), lane), reference) in named.iter().zip(&reports).zip(&scalar) {
-                assert_eq!(
-                    lane, reference,
-                    "config {name} (seed {seed:#x}, lanes {lanes}): \
-                     lane report diverged from scalar"
-                );
-            }
+        let mut tapes = TapeRegistry::new();
+        let order = (0..named.len()).chain((0..named.len()).rev());
+        for i in order {
+            let (name, cfg) = &named[i];
+            let replayed = tapes
+                .simulation(cfg.clone())
+                .expect("matrix configs are valid")
+                .run();
+            assert_eq!(
+                replayed, live[i],
+                "config {name} (seed {seed:#x}): replayed report diverged from live"
+            );
         }
     }
 }
