@@ -281,75 +281,9 @@ fn render_show(path: &str) -> Result<String, String> {
             out.push('\n');
             render_rows(&mut out, &rows);
         }
-        Artefact::Other(doc) => {
-            pretty(&doc, 0, &mut out);
-            out.push('\n');
-        }
+        Artefact::Other(doc) => out.push_str(&doc.to_json_pretty()),
     }
     Ok(out)
-}
-
-/// Pretty-prints a parsed JSON value with two-space indentation.
-fn pretty(v: &Value, indent: usize, out: &mut String) {
-    let pad = "  ".repeat(indent + 1);
-    match v {
-        Value::Null => out.push_str("null"),
-        Value::Bool(b) => {
-            let _ = write!(out, "{b}");
-        }
-        Value::UInt(n) => {
-            let _ = write!(out, "{n}");
-        }
-        Value::Int(n) => {
-            let _ = write!(out, "{n}");
-        }
-        Value::Float(x) => {
-            let _ = write!(out, "{x}");
-        }
-        Value::Str(s) => {
-            let _ = write!(out, "\"{}\"", json_escape(s));
-        }
-        Value::Arr(items) if items.is_empty() => out.push_str("[]"),
-        Value::Arr(items) => {
-            out.push_str("[\n");
-            for (i, item) in items.iter().enumerate() {
-                out.push_str(&pad);
-                pretty(item, indent + 1, out);
-                out.push_str(if i + 1 < items.len() { ",\n" } else { "\n" });
-            }
-            out.push_str(&"  ".repeat(indent));
-            out.push(']');
-        }
-        Value::Obj(fields) if fields.is_empty() => out.push_str("{}"),
-        Value::Obj(fields) => {
-            out.push_str("{\n");
-            for (i, (k, val)) in fields.iter().enumerate() {
-                let _ = write!(out, "{pad}\"{}\": ", json_escape(k));
-                pretty(val, indent + 1, out);
-                out.push_str(if i + 1 < fields.len() { ",\n" } else { "\n" });
-            }
-            out.push_str(&"  ".repeat(indent));
-            out.push('}');
-        }
-    }
-}
-
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 /// Renders the matches for one digest across `paths`. Returns the text
@@ -633,6 +567,14 @@ mod tests {
         let text = render_show(path.to_str().unwrap()).expect("loads");
         assert!(text.contains("\"seed\": 18446744073709551615"), "{text}");
         assert!(text.contains("\"ops\": [\n"), "{text}");
+        // Floats print through the shared writer: an integral one keeps
+        // its point, and a non-finite one (1e999 overflows) is `null`.
+        std::fs::write(&path, "{\"ipc\":2.0,\"big\":1e999,\"half\":0.5}").unwrap();
+        let text = render_show(path.to_str().unwrap()).expect("loads");
+        assert_eq!(
+            text,
+            "{\n  \"ipc\": 2.0,\n  \"big\": null,\n  \"half\": 0.5\n}\n"
+        );
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -18,8 +18,8 @@ use std::io;
 use std::path::{Path, PathBuf};
 
 use crate::case::FuzzCase;
-use crate::json::{self, Value};
 use crate::oracle::{OracleFailure, OracleKind};
+use osoffload_runner::jsonv::{self, Value};
 
 /// Bumped if the archive layout ever changes shape.
 pub const FORMAT_VERSION: u64 = 1;
@@ -53,7 +53,7 @@ impl CorpusEntry {
 
     /// Serializes the entry (stable field order).
     pub fn to_value(&self) -> Value {
-        Value::Object(vec![
+        Value::Obj(vec![
             ("format_version".into(), Value::UInt(FORMAT_VERSION)),
             ("oracle".into(), Value::Str(self.oracle.name().into())),
             ("case_seed".into(), Value::UInt(self.case_seed)),
@@ -111,7 +111,7 @@ pub fn archive(dir: &Path, entry: &CorpusEntry) -> io::Result<PathBuf> {
 /// Loads one archive file.
 pub fn load(path: &Path) -> Result<CorpusEntry, String> {
     let text = fs::read_to_string(path).map_err(|e| format!("{}: {e}", path.display()))?;
-    let value = json::parse(&text).map_err(|e| format!("{}: {e}", path.display()))?;
+    let value = jsonv::parse(&text).map_err(|e| format!("{}: {e}", path.display()))?;
     CorpusEntry::from_value(&value).map_err(|e| format!("{}: {e}", path.display()))
 }
 
@@ -162,7 +162,7 @@ mod tests {
     fn entry_round_trips_through_json() {
         let entry = sample_entry();
         let text = entry.to_value().to_json_pretty();
-        let back = CorpusEntry::from_value(&json::parse(&text).unwrap()).unwrap();
+        let back = CorpusEntry::from_value(&jsonv::parse(&text).unwrap()).unwrap();
         assert_eq!(back, entry);
         assert_eq!(back.case.seed, 0x8000_0000_0000_0003);
     }
@@ -201,7 +201,7 @@ mod tests {
     #[test]
     fn version_mismatch_is_rejected() {
         let mut v = sample_entry().to_value();
-        if let Value::Object(fields) = &mut v {
+        if let Value::Obj(fields) = &mut v {
             fields[0].1 = Value::UInt(999);
         }
         let err = CorpusEntry::from_value(&v).unwrap_err();

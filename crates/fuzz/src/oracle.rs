@@ -35,9 +35,9 @@
 //!    [`Simulation::run`].
 
 use crate::case::FuzzCase;
-use crate::json;
 use osoffload_core::{AState, CamPredictor, ReferenceCamPredictor, RunLengthPredictor};
 use osoffload_obs::TelemetryMode;
+use osoffload_runner::jsonv;
 use osoffload_sim::alloc_audit;
 use osoffload_system::{Phase, PolicyKind, SimReport, Simulation, TapeRegistry};
 use osoffload_workload::{Segment, ThreadWorkload};
@@ -680,8 +680,8 @@ fn check_invariants(cfg: &osoffload_system::SystemConfig, r: &SimReport) -> Resu
 /// Compact top-level diff of two reports (both sides hand-rolled JSON,
 /// so parse and compare key by key).
 fn report_diff(a: &SimReport, b: &SimReport) -> String {
-    let (ja, jb) = (json::parse(&a.to_json()), json::parse(&b.to_json()));
-    let (Ok(json::Value::Object(fa)), Ok(json::Value::Object(fb))) = (ja, jb) else {
+    let (ja, jb) = (jsonv::parse(&a.to_json()), jsonv::parse(&b.to_json()));
+    let (Ok(jsonv::Value::Obj(fa)), Ok(jsonv::Value::Obj(fb))) = (ja, jb) else {
         return "reports differ (unparsable)".into();
     };
     let mut out: Vec<String> = Vec::new();

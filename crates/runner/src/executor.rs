@@ -244,9 +244,10 @@ pub struct PointResult {
     /// without fault injection).
     pub injected_faults: u32,
     /// When the row was restored from a results journal, the verbatim
-    /// stable-row text as originally archived. [`stable_json`]
-    /// (Self::stable_json) returns it unchanged, which is what makes a
-    /// resumed archive byte-identical to an uninterrupted one.
+    /// stable-row text as originally archived.
+    /// [`stable_json`](Self::stable_json) returns it unchanged, which is
+    /// what makes a resumed archive byte-identical to an uninterrupted
+    /// one.
     pub restored: Option<String>,
 }
 
@@ -274,7 +275,7 @@ impl PointResult {
         let mut o = format!(
             "{{\"index\":{},\"id\":\"{}\",\"seed\":{},\"config\":{}",
             self.index,
-            crate::report::json_escape(&self.id),
+            osoffload_obs::json_escape(&self.id),
             self.seed,
             self.config_json
         );
@@ -286,7 +287,7 @@ impl PointResult {
             Outcome::Failed { panic, attempts } => {
                 o.push_str(&format!(
                     ",\"status\":\"failed\",\"panic\":\"{}\",\"attempts\":{},\"config_digest\":\"{}\"",
-                    crate::report::json_escape(panic),
+                    osoffload_obs::json_escape(panic),
                     attempts,
                     self.config_digest()
                 ));
@@ -435,7 +436,7 @@ impl SweepResult {
         let rows: Vec<String> = self.rows.iter().map(|r| r.row_json()).collect();
         format!(
             "{{\"experiment\":\"{}\",\"master_seed\":{},\"workers\":{},\"points\":{},\"failed\":{},\"timeouts\":{},\"wall_ms\":{:.3},\"rows\":[{}]}}",
-            crate::report::json_escape(&self.name),
+            osoffload_obs::json_escape(&self.name),
             self.master_seed,
             self.workers,
             self.rows.len(),

@@ -23,7 +23,7 @@
 
 use crate::executor::{Outcome, PointResult};
 use crate::jsonv::{self, Value};
-use crate::report::json_escape;
+use osoffload_obs::json_escape;
 use osoffload_system::{BinaryPoint, CycleBreakdown, PredictorReport, QueueReport, SimReport};
 use std::fs::{File, OpenOptions};
 use std::io::{self, Write};

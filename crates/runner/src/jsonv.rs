@@ -1,10 +1,26 @@
-//! Minimal JSON reader for the results journal.
+//! The workspace's one JSON tree: reader and writer.
 //!
-//! The workspace's approved dependency set has no serialisation
-//! framework, so the journal parses its own records the same way the
-//! fuzzer parses its corpus: a small recursive-descent reader producing
-//! a [`Value`] tree. Unsigned integers keep full `u64` fidelity (seeds
-//! exceed 2^53, where `f64` starts dropping bits).
+//! The approved dependency set has no serialisation framework, so every
+//! JSON artefact goes through this module: results journals, sweep
+//! archives, the serve wire and its cache WAL, fuzz corpus files and
+//! `osoffload inspect`. A small recursive-descent reader produces a
+//! [`Value`] tree; [`Value::to_json`] and [`Value::to_json_pretty`]
+//! write one back. Unsigned integers keep full `u64` fidelity (seeds
+//! exceed 2^53, where `f64` starts dropping bits), and floats keep their
+//! point through a round trip.
+//!
+//! The reader follows RFC 8259 and names the byte offset of every
+//! error. It refuses documents nested deeper than [`MAX_DEPTH`]: the
+//! serve daemon parses lines straight off the network on connection
+//! threads, and without a bound one line of `[` overflows the thread's
+//! stack and aborts the whole process. The workspace's own documents
+//! nest fewer than 10 deep.
+
+use osoffload_obs::json_escape;
+use std::fmt::Write as _;
+
+/// Deepest array/object nesting [`parse`] accepts.
+pub const MAX_DEPTH: usize = 128;
 
 /// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -23,7 +39,8 @@ pub enum Value {
     Str(String),
     /// An array.
     Arr(Vec<Value>),
-    /// An object, in source order.
+    /// An object, in source order (the writer keeps that order, which
+    /// keeps corpus files byte-stable).
     Obj(Vec<(String, Value)>),
 }
 
@@ -65,6 +82,14 @@ impl Value {
         }
     }
 
+    /// The value as a bool, if it is one.
+    pub fn as_bool(&self) -> Option<bool> {
+        match self {
+            Value::Bool(b) => Some(*b),
+            _ => None,
+        }
+    }
+
     /// The value as a string slice, if it is a string.
     pub fn as_str(&self) -> Option<&str> {
         match self {
@@ -80,182 +105,361 @@ impl Value {
             _ => None,
         }
     }
+
+    /// Serialises the value compactly: no whitespace, source key order.
+    pub fn to_json(&self) -> String {
+        let mut out = String::new();
+        self.write(&mut out);
+        out
+    }
+
+    /// Serialises with two-space indentation and a trailing newline, for
+    /// files people read and hand-edit.
+    pub fn to_json_pretty(&self) -> String {
+        let mut out = String::new();
+        self.write_pretty(&mut out, 0);
+        out.push('\n');
+        out
+    }
+
+    fn write(&self, out: &mut String) {
+        match self {
+            Value::Null => out.push_str("null"),
+            Value::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
+            Value::UInt(n) => {
+                let _ = write!(out, "{n}");
+            }
+            Value::Int(n) => {
+                let _ = write!(out, "{n}");
+            }
+            Value::Float(x) => write_float(out, *x),
+            Value::Str(s) => write_string(out, s),
+            Value::Arr(items) => {
+                out.push('[');
+                for (i, item) in items.iter().enumerate() {
+                    if i > 0 {
+                        out.push(',');
+                    }
+                    item.write(out);
+                }
+                out.push(']');
+            }
+            Value::Obj(fields) => {
+                out.push('{');
+                for (i, (k, v)) in fields.iter().enumerate() {
+                    if i > 0 {
+                        out.push(',');
+                    }
+                    write_string(out, k);
+                    out.push(':');
+                    v.write(out);
+                }
+                out.push('}');
+            }
+        }
+    }
+
+    fn write_pretty(&self, out: &mut String, depth: usize) {
+        let pad = |out: &mut String, d: usize| out.push_str(&"  ".repeat(d));
+        match self {
+            Value::Arr(items) if !items.is_empty() => {
+                out.push_str("[\n");
+                for (i, item) in items.iter().enumerate() {
+                    if i > 0 {
+                        out.push_str(",\n");
+                    }
+                    pad(out, depth + 1);
+                    item.write_pretty(out, depth + 1);
+                }
+                out.push('\n');
+                pad(out, depth);
+                out.push(']');
+            }
+            Value::Obj(fields) if !fields.is_empty() => {
+                out.push_str("{\n");
+                for (i, (k, v)) in fields.iter().enumerate() {
+                    if i > 0 {
+                        out.push_str(",\n");
+                    }
+                    pad(out, depth + 1);
+                    write_string(out, k);
+                    out.push_str(": ");
+                    v.write_pretty(out, depth + 1);
+                }
+                out.push('\n');
+                pad(out, depth);
+                out.push('}');
+            }
+            other => other.write(out),
+        }
+    }
 }
 
-/// Parses `text` as one JSON document (trailing whitespace allowed).
+fn write_string(out: &mut String, s: &str) {
+    out.push('"');
+    out.push_str(&json_escape(s));
+    out.push('"');
+}
+
+fn write_float(out: &mut String, x: f64) {
+    if x.is_finite() {
+        let _ = write!(out, "{x}");
+        // `{}` renders integral floats without a point; keep the type
+        // distinction through a round trip.
+        if x.fract() == 0.0 {
+            out.push_str(".0");
+        }
+    } else {
+        out.push_str("null");
+    }
+}
+
+/// Parses `text` as one JSON document (surrounding whitespace allowed).
 pub fn parse(text: &str) -> Result<Value, String> {
-    let bytes = text.as_bytes();
-    let mut pos = 0usize;
-    let value = parse_value(bytes, &mut pos)?;
-    skip_ws(bytes, &mut pos);
-    if pos != bytes.len() {
-        return Err(format!("trailing data at byte {pos}"));
+    let mut p = Parser {
+        bytes: text.as_bytes(),
+        pos: 0,
+        depth: 0,
+    };
+    let value = p.value()?;
+    p.skip_ws();
+    if p.pos != p.bytes.len() {
+        return Err(p.err("trailing data"));
     }
     Ok(value)
 }
 
-fn skip_ws(bytes: &[u8], pos: &mut usize) {
-    while *pos < bytes.len() && matches!(bytes[*pos], b' ' | b'\t' | b'\n' | b'\r') {
-        *pos += 1;
-    }
+struct Parser<'a> {
+    bytes: &'a [u8],
+    pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
-fn expect(bytes: &[u8], pos: &mut usize, b: u8) -> Result<(), String> {
-    skip_ws(bytes, pos);
-    if bytes.get(*pos) == Some(&b) {
-        *pos += 1;
+impl Parser<'_> {
+    fn err(&self, what: &str) -> String {
+        format!("{what} at byte {}", self.pos)
+    }
+
+    fn peek(&self) -> Option<u8> {
+        self.bytes.get(self.pos).copied()
+    }
+
+    fn skip_ws(&mut self) {
+        while matches!(self.peek(), Some(b' ' | b'\t' | b'\n' | b'\r')) {
+            self.pos += 1;
+        }
+    }
+
+    fn expect(&mut self, b: u8) -> Result<(), String> {
+        self.skip_ws();
+        if self.peek() == Some(b) {
+            self.pos += 1;
+            Ok(())
+        } else {
+            Err(self.err(&format!("expected {:?}", b as char)))
+        }
+    }
+
+    fn value(&mut self) -> Result<Value, String> {
+        self.skip_ws();
+        match self.peek() {
+            None => Err(self.err("unexpected end of input")),
+            Some(b'{') => self.object(),
+            Some(b'[') => self.array(),
+            Some(b'"') => self.string().map(Value::Str),
+            Some(b't') => self.literal("true", Value::Bool(true)),
+            Some(b'f') => self.literal("false", Value::Bool(false)),
+            Some(b'n') => self.literal("null", Value::Null),
+            Some(b'-' | b'0'..=b'9') => self.number(),
+            Some(_) => Err(self.err("expected a value")),
+        }
+    }
+
+    /// Steps over an opening bracket, refusing to nest past [`MAX_DEPTH`].
+    fn open(&mut self) -> Result<(), String> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.err(&format!("nesting deeper than {MAX_DEPTH}")));
+        }
+        self.depth += 1;
+        self.pos += 1;
+        self.skip_ws();
         Ok(())
-    } else {
-        Err(format!("expected {:?} at byte {}", b as char, *pos))
     }
-}
 
-fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Value, String> {
-    skip_ws(bytes, pos);
-    match bytes.get(*pos) {
-        None => Err("unexpected end of input".into()),
-        Some(b'{') => {
-            *pos += 1;
-            let mut fields = Vec::new();
-            skip_ws(bytes, pos);
-            if bytes.get(*pos) == Some(&b'}') {
-                *pos += 1;
-                return Ok(Value::Obj(fields));
-            }
+    fn object(&mut self) -> Result<Value, String> {
+        self.open()?;
+        let mut fields = Vec::new();
+        if self.peek() != Some(b'}') {
             loop {
-                skip_ws(bytes, pos);
-                let key = parse_string(bytes, pos)?;
-                expect(bytes, pos, b':')?;
-                let value = parse_value(bytes, pos)?;
-                fields.push((key, value));
-                skip_ws(bytes, pos);
-                match bytes.get(*pos) {
-                    Some(b',') => *pos += 1,
-                    Some(b'}') => {
-                        *pos += 1;
-                        return Ok(Value::Obj(fields));
-                    }
-                    _ => return Err(format!("expected ',' or '}}' at byte {pos}", pos = *pos)),
+                self.skip_ws();
+                let key = self.string()?;
+                self.expect(b':')?;
+                fields.push((key, self.value()?));
+                self.skip_ws();
+                match self.peek() {
+                    Some(b',') => self.pos += 1,
+                    Some(b'}') => break,
+                    _ => return Err(self.err("expected ',' or '}'")),
                 }
             }
         }
-        Some(b'[') => {
-            *pos += 1;
-            let mut items = Vec::new();
-            skip_ws(bytes, pos);
-            if bytes.get(*pos) == Some(&b']') {
-                *pos += 1;
-                return Ok(Value::Arr(items));
-            }
+        self.pos += 1;
+        self.depth -= 1;
+        Ok(Value::Obj(fields))
+    }
+
+    fn array(&mut self) -> Result<Value, String> {
+        self.open()?;
+        let mut items = Vec::new();
+        if self.peek() != Some(b']') {
             loop {
-                items.push(parse_value(bytes, pos)?);
-                skip_ws(bytes, pos);
-                match bytes.get(*pos) {
-                    Some(b',') => *pos += 1,
-                    Some(b']') => {
-                        *pos += 1;
-                        return Ok(Value::Arr(items));
-                    }
-                    _ => return Err(format!("expected ',' or ']' at byte {pos}", pos = *pos)),
+                items.push(self.value()?);
+                self.skip_ws();
+                match self.peek() {
+                    Some(b',') => self.pos += 1,
+                    Some(b']') => break,
+                    _ => return Err(self.err("expected ',' or ']'")),
                 }
             }
         }
-        Some(b'"') => Ok(Value::Str(parse_string(bytes, pos)?)),
-        Some(b't') => parse_lit(bytes, pos, "true", Value::Bool(true)),
-        Some(b'f') => parse_lit(bytes, pos, "false", Value::Bool(false)),
-        Some(b'n') => parse_lit(bytes, pos, "null", Value::Null),
-        Some(_) => parse_number(bytes, pos),
+        self.pos += 1;
+        self.depth -= 1;
+        Ok(Value::Arr(items))
     }
-}
 
-fn parse_lit(bytes: &[u8], pos: &mut usize, lit: &str, value: Value) -> Result<Value, String> {
-    if bytes[*pos..].starts_with(lit.as_bytes()) {
-        *pos += lit.len();
-        Ok(value)
-    } else {
-        Err(format!("bad literal at byte {pos}", pos = *pos))
+    fn literal(&mut self, lit: &str, value: Value) -> Result<Value, String> {
+        if self.bytes[self.pos..].starts_with(lit.as_bytes()) {
+            self.pos += lit.len();
+            Ok(value)
+        } else {
+            Err(self.err("bad literal"))
+        }
     }
-}
 
-fn parse_number(bytes: &[u8], pos: &mut usize) -> Result<Value, String> {
-    let start = *pos;
-    if bytes.get(*pos) == Some(&b'-') {
-        *pos += 1;
+    /// Steps over one or more ASCII digits.
+    fn digits(&mut self) -> Result<(), String> {
+        if !matches!(self.peek(), Some(b'0'..=b'9')) {
+            return Err(self.err("expected a digit"));
+        }
+        while matches!(self.peek(), Some(b'0'..=b'9')) {
+            self.pos += 1;
+        }
+        Ok(())
     }
-    let mut fractional = false;
-    while let Some(&b) = bytes.get(*pos) {
-        match b {
-            b'0'..=b'9' => *pos += 1,
-            b'.' | b'e' | b'E' | b'+' | b'-' => {
-                fractional = true;
-                *pos += 1;
+
+    /// `-? (0 | [1-9][0-9]*) (. [0-9]+)? ([eE] [+-]? [0-9]+)?`
+    fn number(&mut self) -> Result<Value, String> {
+        let start = self.pos;
+        if self.peek() == Some(b'-') {
+            self.pos += 1;
+        }
+        if self.peek() == Some(b'0') {
+            self.pos += 1;
+        } else {
+            self.digits()?;
+        }
+        let mut fractional = false;
+        if self.peek() == Some(b'.') {
+            fractional = true;
+            self.pos += 1;
+            self.digits()?;
+        }
+        if matches!(self.peek(), Some(b'e' | b'E')) {
+            fractional = true;
+            self.pos += 1;
+            if matches!(self.peek(), Some(b'+' | b'-')) {
+                self.pos += 1;
             }
-            _ => break,
+            self.digits()?;
         }
-    }
-    let text = core::str::from_utf8(&bytes[start..*pos]).map_err(|_| "bad number".to_string())?;
-    if !fractional {
-        if let Ok(n) = text.parse::<u64>() {
-            return Ok(Value::UInt(n));
-        }
-        if let Ok(n) = text.parse::<i64>() {
-            return Ok(Value::Int(n));
-        }
-    }
-    text.parse::<f64>()
-        .map(Value::Float)
-        .map_err(|_| format!("bad number {text:?}"))
-}
-
-fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
-    if bytes.get(*pos) != Some(&b'"') {
-        return Err(format!("expected string at byte {pos}", pos = *pos));
-    }
-    *pos += 1;
-    let mut out = String::new();
-    loop {
-        match bytes.get(*pos) {
-            None => return Err("unterminated string".into()),
-            Some(b'"') => {
-                *pos += 1;
-                return Ok(out);
+        // The grammar above admits only ASCII.
+        let text = core::str::from_utf8(&self.bytes[start..self.pos]).expect("ASCII number");
+        if !fractional {
+            if let Ok(n) = text.parse::<u64>() {
+                return Ok(Value::UInt(n));
             }
-            Some(b'\\') => {
-                *pos += 1;
-                match bytes.get(*pos) {
-                    Some(b'"') => out.push('"'),
-                    Some(b'\\') => out.push('\\'),
-                    Some(b'/') => out.push('/'),
-                    Some(b'n') => out.push('\n'),
-                    Some(b't') => out.push('\t'),
-                    Some(b'r') => out.push('\r'),
-                    Some(b'b') => out.push('\u{8}'),
-                    Some(b'f') => out.push('\u{c}'),
-                    Some(b'u') => {
-                        let hex = bytes
-                            .get(*pos + 1..*pos + 5)
-                            .and_then(|h| core::str::from_utf8(h).ok())
-                            .ok_or("truncated \\u escape")?;
-                        let code = u32::from_str_radix(hex, 16)
-                            .map_err(|_| "bad \\u escape".to_string())?;
-                        out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
-                        *pos += 4;
-                    }
-                    _ => return Err("bad escape".into()),
+            if let Ok(n) = text.parse::<i64>() {
+                return Ok(Value::Int(n));
+            }
+        }
+        text.parse::<f64>()
+            .map(Value::Float)
+            .map_err(|_| self.err("bad number"))
+    }
+
+    /// The value of the four hex digits starting at `at`.
+    fn hex4(&self, at: usize) -> Option<u32> {
+        self.bytes
+            .get(at..at + 4)?
+            .iter()
+            .try_fold(0, |n, &b| Some(n * 16 + char::from(b).to_digit(16)?))
+    }
+
+    /// Decodes the `\u` escape whose `u` is at `self.pos`, leaving
+    /// `self.pos` on its last hex digit. A UTF-16 surrogate pair spans
+    /// two escapes; a lone surrogate is an error.
+    fn unicode_escape(&mut self) -> Result<char, String> {
+        let at = self.pos;
+        let (mut code, mut len) = (self.hex4(at + 1), 4);
+        if let Some(hi @ 0xD800..=0xDBFF) = code {
+            code = match (self.bytes.get(at + 5..at + 7), self.hex4(at + 7)) {
+                (Some(b"\\u"), Some(lo @ 0xDC00..=0xDFFF)) => {
+                    Some(0x10000 + ((hi - 0xD800) << 10) + (lo - 0xDC00))
                 }
-                *pos += 1;
-            }
-            Some(_) => {
-                // Copy the run up to the next quote or backslash in one
-                // go. Both are ASCII, so the run ends on a char boundary.
-                let run = bytes[*pos..]
-                    .iter()
-                    .position(|&b| b == b'"' || b == b'\\')
-                    .unwrap_or(bytes.len() - *pos);
-                let text = core::str::from_utf8(&bytes[*pos..*pos + run])
-                    .map_err(|_| "invalid UTF-8 in string".to_string())?;
-                out.push_str(text);
-                *pos += run;
+                _ => None,
+            };
+            len = 10;
+        }
+        let c = code
+            .and_then(char::from_u32)
+            .ok_or_else(|| self.err("bad \\u escape"))?;
+        self.pos += len;
+        Ok(c)
+    }
+
+    fn string(&mut self) -> Result<String, String> {
+        if self.peek() != Some(b'"') {
+            return Err(self.err("expected string"));
+        }
+        self.pos += 1;
+        let mut out = String::new();
+        loop {
+            match self.peek() {
+                None => return Err(self.err("unterminated string")),
+                Some(b'"') => {
+                    self.pos += 1;
+                    return Ok(out);
+                }
+                Some(b'\\') => {
+                    self.pos += 1;
+                    match self.peek() {
+                        Some(b'"') => out.push('"'),
+                        Some(b'\\') => out.push('\\'),
+                        Some(b'/') => out.push('/'),
+                        Some(b'n') => out.push('\n'),
+                        Some(b't') => out.push('\t'),
+                        Some(b'r') => out.push('\r'),
+                        Some(b'b') => out.push('\u{8}'),
+                        Some(b'f') => out.push('\u{c}'),
+                        Some(b'u') => out.push(self.unicode_escape()?),
+                        _ => return Err(self.err("bad escape")),
+                    }
+                    self.pos += 1;
+                }
+                Some(_) => {
+                    // Copy the run up to the next quote or backslash in one
+                    // go. Both are ASCII, so the run ends on a char boundary.
+                    let bytes = self.bytes;
+                    let run = bytes[self.pos..]
+                        .iter()
+                        .position(|&b| b == b'"' || b == b'\\')
+                        .unwrap_or(bytes.len() - self.pos);
+                    let text = core::str::from_utf8(&bytes[self.pos..self.pos + run])
+                        .map_err(|_| self.err("invalid UTF-8 in string"))?;
+                    out.push_str(text);
+                    self.pos += run;
+                }
             }
         }
     }
@@ -273,12 +477,57 @@ mod tests {
         assert_eq!(v.get("c").unwrap().as_f64(), Some(1.5));
         assert_eq!(v.get("d").unwrap().as_str(), Some("x\ny"));
         assert_eq!(v.get("e").unwrap().as_arr().unwrap().len(), 3);
+        assert_eq!(
+            v.get("e").unwrap().as_arr().unwrap()[1].as_bool(),
+            Some(false)
+        );
+        assert_eq!(v.get("missing"), None);
     }
 
     #[test]
-    fn u64_seeds_keep_full_fidelity() {
+    fn u64_seeds_round_trip_exactly() {
+        // 2^63 + 3 is not representable in f64; a float-only parser
+        // corrupts it.
+        for n in [0u64, 1, u64::MAX, (1 << 63) + 3, 0xD15C_0C0A] {
+            let j = Value::UInt(n).to_json();
+            assert_eq!(parse(&j).unwrap(), Value::UInt(n), "{n}");
+        }
         let v = parse(&format!("{{\"seed\":{}}}", u64::MAX)).unwrap();
         assert_eq!(v.get("seed").unwrap().as_u64(), Some(u64::MAX));
+    }
+
+    #[test]
+    fn document_round_trips() {
+        let doc = Value::Obj(vec![
+            ("name".into(), Value::Str("we\"ird\\s\n\u{1}".into())),
+            ("seed".into(), Value::UInt(u64::MAX)),
+            ("neg".into(), Value::Int(-7)),
+            ("x".into(), Value::Float(0.25)),
+            ("flag".into(), Value::Bool(true)),
+            ("none".into(), Value::Null),
+            (
+                "list".into(),
+                Value::Arr(vec![Value::UInt(1), Value::UInt(2)]),
+            ),
+            ("empty".into(), Value::Arr(vec![])),
+            ("nested".into(), Value::Obj(vec![])),
+        ]);
+        for text in [doc.to_json(), doc.to_json_pretty()] {
+            assert_eq!(parse(&text).unwrap(), doc, "{text}");
+        }
+    }
+
+    #[test]
+    fn floats_keep_their_point() {
+        assert_eq!(Value::Float(2.0).to_json(), "2.0");
+        assert_eq!(Value::Float(-0.0).to_json(), "-0.0");
+        assert_eq!(Value::Float(0.5).to_json(), "0.5");
+        assert_eq!(Value::Float(f64::INFINITY).to_json(), "null");
+        assert_eq!(Value::Float(f64::NAN).to_json(), "null");
+        assert_eq!(parse("2.0").unwrap(), Value::Float(2.0));
+        assert_eq!(parse("-3").unwrap(), Value::Int(-3));
+        assert_eq!(parse("1e3").unwrap(), Value::Float(1000.0));
+        assert_eq!(parse("-0.5E-1").unwrap(), Value::Float(-0.05));
     }
 
     #[test]
@@ -286,13 +535,55 @@ mod tests {
         let v = parse(r#"{"s":"é€\n😀\"ü\u00e9ñ","t":"日本"}"#).unwrap();
         assert_eq!(v.get("s").unwrap().as_str(), Some("é€\n😀\"üéñ"));
         assert_eq!(v.get("t").unwrap().as_str(), Some("日本"));
+        // A UTF-16 surrogate pair spans two escapes.
+        assert_eq!(parse(r#""\ud83d\ude00""#).unwrap(), Value::Str("😀".into()));
     }
 
     #[test]
-    fn rejects_torn_documents() {
-        assert!(parse("{\"a\":1").is_err());
-        assert!(parse("{\"a\":1}garbage").is_err());
-        assert!(parse("").is_err());
-        assert!(parse("{\"a\"").is_err());
+    fn errors_carry_offsets() {
+        for (bad, at) in [
+            ("", 0),
+            ("{", 1),
+            ("{\"a\"", 4),
+            ("{\"a\":1", 6),
+            ("{\"a\":1}garbage", 7),
+            ("[1,", 3),
+            ("\"x", 2),
+            ("{\"a\" 1}", 5),
+            ("nul", 0),
+            ("01", 1),
+            ("{} {}", 3),
+            ("[1, ?]", 4),
+            ("+1", 0),
+            (".5", 0),
+            ("1.", 2),
+            ("1e", 2),
+            ("-", 1),
+            ("\"\\x\"", 2),
+            ("\"\\u12\"", 2),
+            ("\"\\u+123\"", 2),
+            ("\"\\ud800\"", 2),
+            ("\"\\udc00\"", 2),
+            ("\"\\ud800\\u0041\"", 2),
+        ] {
+            let e = parse(bad).expect_err(bad);
+            assert!(e.ends_with(&format!(" at byte {at}")), "{bad:?}: {e}");
+        }
+    }
+
+    #[test]
+    fn nesting_is_capped() {
+        let nested = |n: usize| format!("{}{}", "[".repeat(n), "]".repeat(n));
+        assert!(parse(&nested(MAX_DEPTH)).is_ok());
+        let e = parse(&nested(MAX_DEPTH + 1)).unwrap_err();
+        assert!(e.contains("nesting deeper than 128"), "{e}");
+        assert!(e.ends_with(&format!(" at byte {MAX_DEPTH}")), "{e}");
+        // Objects count toward the same cap, and closing a level frees it.
+        let objs = format!("{}1{}", "{\"k\":".repeat(MAX_DEPTH), "}".repeat(MAX_DEPTH));
+        assert!(parse(&objs).is_ok());
+        let wide = format!("[{}]", vec![nested(MAX_DEPTH - 1); 3].join(","));
+        assert!(parse(&wide).is_ok());
+        // A huge unclosed run fails at the cap, not by stack overflow.
+        assert!(parse(&"[".repeat(200_000)).is_err());
     }
 }

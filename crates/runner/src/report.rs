@@ -25,27 +25,12 @@
 //! the same bytes is fsynced in place rather than rewritten.
 
 use crate::executor::{Outcome, SweepResult};
-use osoffload_obs::{atomic_write, atomic_write_if_changed, chrome_trace, Event, EventKind, Track};
+use osoffload_obs::{
+    atomic_write, atomic_write_if_changed, chrome_trace, json_escape, Event, EventKind, Track,
+};
 use osoffload_system::{CycleProfile, SystemConfig};
 use std::io;
 use std::path::{Path, PathBuf};
-
-/// Minimal JSON string escaping.
-pub(crate) fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
 
 /// Renders a [`SystemConfig`] as a JSON object with a stable key order.
 ///
@@ -269,12 +254,6 @@ mod tests {
             assert!(j.contains(key), "missing {key} in {j}");
         }
         assert_eq!(j.matches('{').count(), j.matches('}').count());
-    }
-
-    #[test]
-    fn escaping_handles_quotes_and_control() {
-        assert_eq!(json_escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
-        assert_eq!(json_escape("\u{1}"), "\\u0001");
     }
 
     #[test]

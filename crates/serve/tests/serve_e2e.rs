@@ -4,7 +4,8 @@
 //! a restarted daemon comes back warm (torn WAL tails tolerated),
 //! cached rows re-key to new plan positions, overload is shed with a
 //! structured retryable refusal, shutdown drains gracefully, a shed
-//! storm leaves metrics I/O and memory bounded, and hostile framing (oversized lines, garbage, vanishing clients,
+//! storm leaves metrics I/O and memory bounded, and hostile framing
+//! (oversized lines, garbage, deep nesting, vanishing clients,
 //! slow-loris) gets errors or silence — never a panic or a hang.
 
 use osoffload_runner::jsonv::{self, Value};
@@ -670,6 +671,24 @@ fn oversized_and_garbage_frames_are_bounced_within_limits() {
     assert!(answer.contains("\"ok\":false"), "{answer}");
 
     // The daemon survives all of it.
+    assert!(client::ping(port).expect("ping").contains("\"ok\":true"));
+    client::stop(port).expect("stop");
+    handle.join().expect("daemon thread").expect("daemon exit");
+}
+
+#[test]
+fn deeply_nested_request_is_refused_without_aborting_the_daemon() {
+    let dir = scratch("nesting");
+    let (port, handle) = start_daemon(serve_opts(&dir));
+
+    // Well under the default line cap, but an unbounded recursive parse
+    // of it overflows a connection thread's stack and aborts the process.
+    let mut deep = vec![b'['; 200_000];
+    deep.push(b'\n');
+    let answer = raw_request(port, &deep);
+    assert!(answer.starts_with("{\"ok\":false"), "{answer}");
+    assert!(answer.contains("nesting deeper than"), "{answer}");
+
     assert!(client::ping(port).expect("ping").contains("\"ok\":true"));
     client::stop(port).expect("stop");
     handle.join().expect("daemon thread").expect("daemon exit");

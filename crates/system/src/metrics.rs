@@ -5,6 +5,7 @@
 //! archived and diffed across runs.
 
 use core::fmt;
+use osoffload_obs::json_escape;
 
 /// Queueing behaviour at the OS core (§V-C).
 #[derive(Debug, Clone, PartialEq, Default)]
@@ -163,24 +164,6 @@ pub struct SimReport {
     pub binary_accuracy: Vec<BinaryPoint>,
     /// Number of tuner adjustments logged (0 without the tuner).
     pub tuner_events: usize,
-}
-
-/// Minimal JSON string escaping (the report's strings are ASCII
-/// identifiers, but stay correct for arbitrary content).
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 impl SimReport {
@@ -547,7 +530,7 @@ mod tests {
     }
 
     #[test]
-    fn json_escapes_strings() {
+    fn to_json_escapes_strings() {
         let mut r = report(0.7);
         r.profile = "we\"ird\\name".to_string();
         let j = r.to_json();

@@ -5,7 +5,8 @@
 //! behind an archive is fixed, the archive stays in the corpus and this
 //! test keeps it fixed: each entry is replayed through **all five**
 //! oracles — differential, predictor, invariants, telemetry and alloc —
-//! and must pass every one.
+//! and must pass every one. Each file must also be exactly what the
+//! shared JSON writer prints for it, so the format stays byte-stable.
 //!
 //! Like `tests/alloc_audit.rs`, the test installs a counting
 //! `#[global_allocator]` so the alloc oracle actually counts instead of
@@ -15,6 +16,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::path::Path;
 
+use osoffload::runner::jsonv;
 use osoffload::sim::alloc_audit;
 use osoffload_fuzz::corpus;
 
@@ -59,6 +61,15 @@ fn every_archived_repro_passes_every_oracle() {
     let paths = corpus::list(&dir).expect("corpus directory must be readable");
     let mut failing: Vec<String> = Vec::new();
     for path in &paths {
+        // The corpus format is the shared JSON writer's pretty form:
+        // every archive must re-serialise to exactly its own bytes.
+        let text = std::fs::read_to_string(path).unwrap_or_default();
+        if jsonv::parse(&text).map(|v| v.to_json_pretty()).as_ref() != Ok(&text) {
+            failing.push(format!(
+                "{}: does not re-serialise byte-identically",
+                path.display()
+            ));
+        }
         let entry = match corpus::load(path) {
             Ok(entry) => entry,
             Err(e) => {
